@@ -548,19 +548,19 @@ func runAblate(args []string, w io.Writer) error {
 	p := simParams(*slots, *seed, 1)
 	switch *studyName {
 	case "buffer":
-		a, err := exp.RunBufferAblation(core.PaperModel(), *ports, *load, p)
+		a, err := exp.RunBufferAblation(study.PaperModel(), *ports, *load, p)
 		if err != nil {
 			return err
 		}
 		return a.Render(w)
 	case "fcwire":
-		a, err := exp.RunFCWireAblation(core.PaperModel(), *ports, *load, p)
+		a, err := exp.RunFCWireAblation(study.PaperModel(), *ports, *load, p)
 		if err != nil {
 			return err
 		}
 		return a.Render(w)
 	case "queue":
-		a, err := exp.RunQueueAblation(core.PaperModel(), *ports, p)
+		a, err := exp.RunQueueAblation(study.PaperModel(), *ports, p)
 		if err != nil {
 			return err
 		}
@@ -606,7 +606,7 @@ func runNet(ctx context.Context, args []string, w io.Writer) error {
 	matrix := fs.String("matrix", "uniform", "traffic matrix: uniform | gravity | hotspot")
 	trafficKind := fs.String("traffic", "", "per-flow traffic kind: uniform (default) | bursty | packet | registered kinds")
 	shards := fs.Int("shards", 0, "router shards per network (0/1 = single-threaded, -1 = one per core; results are identical for any value)")
-	idleSkip := fs.String("idleskip", "auto", "idle-node fast path: auto | on | off (bit-identical either way; off bisects a suspected divergence)")
+	idleSkip := fs.String("idleskip", "", "idle-node fast path: on (default) | off (bit-identical either way; off bisects a suspected divergence)")
 	archName := fs.String("arch", "crossbar", "per-node fabric architecture")
 	loadsFlag := fs.String("loads", "", "comma-separated per-host offered loads (default 0.1,0.2,0.3,0.4,0.5)")
 	noStatic := fs.Bool("nostatic", false, "zero static power: dynamic-only accounting (routing and gating still shape traffic)")
@@ -627,11 +627,6 @@ func runNet(ctx context.Context, args []string, w io.Writer) error {
 	failures, err := loadFailures(*faultsPath, *mtbf, *mttr)
 	if err != nil {
 		return err
-	}
-	if *idleSkip == "auto" {
-		// The spec's zero value already means auto; keep default specs
-		// byte-identical to pre-flag ones.
-		*idleSkip = ""
 	}
 	model := study.PaperModel()
 	model.Static = !*noStatic

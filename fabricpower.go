@@ -20,6 +20,11 @@
 //     and the selected fabric, returning measured throughput, latency and
 //     a per-component power breakdown.
 //
+// Both are facades over the declarative study package: a Model is a
+// study.ModelSpec, and Simulate translates its Options into one
+// study.Scenario and runs it with study.RunScenario — the same path, and
+// the same numbers, as `fabricpower run` on that scenario.
+//
 // See the examples directory for runnable walkthroughs, README.md for how
 // to regenerate every figure (in parallel), and internal/exp for the
 // experiment-by-experiment reproduction record.
@@ -29,13 +34,8 @@ import (
 	"fmt"
 
 	"fabricpower/internal/core"
-	"fabricpower/internal/dpm"
-	"fabricpower/internal/fabric"
-	"fabricpower/internal/packet"
-	"fabricpower/internal/router"
-	"fabricpower/internal/sim"
 	"fabricpower/internal/tech"
-	"fabricpower/internal/traffic"
+	"fabricpower/study"
 )
 
 // Architecture selects a switch-fabric topology.
@@ -62,43 +62,50 @@ func Architectures() []Architecture {
 }
 
 // Model wraps the bit-energy model parameters (technology point, node
-// switch LUTs, buffer memory calibration).
+// switch LUTs, buffer memory calibration) as a declarative
+// study.ModelSpec.
 type Model struct {
-	m core.Model
+	spec study.ModelSpec
 }
 
 // DefaultModel returns the paper's case study: 0.18 µm / 3.3 V, Table 1
 // reference LUTs, Table 2 SRAM calibration, 4 Kbit node buffers.
-func DefaultModel() Model { return Model{m: core.PaperModel()} }
+func DefaultModel() Model { return Model{spec: study.PaperModel()} }
 
 // PerWordBufferModel returns the alternative Table 2 reading in which the
 // SRAM access energy is charged per 32-bit word rather than per bit —
 // the interpretation that recovers the paper's 35% Banyan crossover at
 // 32×32 (see the BufferAccessGranularityBits discussion in internal/core).
-func PerWordBufferModel() Model { return Model{m: core.PerWordBufferModel()} }
+func PerWordBufferModel() Model { return Model{spec: study.PerWordModel()} }
+
+// with returns the model with edit applied, or the edit's validation
+// error.
+func (m Model) with(edit func(*study.ModelSpec)) (Model, error) {
+	out := m
+	edit(&out.spec)
+	if _, err := out.spec.Build(); err != nil {
+		return Model{}, err
+	}
+	return out, nil
+}
 
 // WithTechScaling derives a model at a scaled technology point: s scales
 // feature size and capacitances, sv scales the supply voltage. Use it for
 // what-if studies (e.g. a 0.13 µm shrink at 1.8 V: s=0.72, sv=0.55).
+// Repeated scalings compose multiplicatively.
 func (m Model) WithTechScaling(s, sv float64) (Model, error) {
-	tp, err := m.m.Tech.Scaled(s, sv)
-	if err != nil {
-		return Model{}, err
-	}
-	out := m
-	out.m.Tech = tp
-	return out, nil
+	return m.with(func(spec *study.ModelSpec) {
+		if ts := spec.TechScale; ts != nil {
+			s, sv = s*ts.S, sv*ts.SV
+		}
+		spec.TechScale = &study.TechScale{S: s, SV: sv}
+	})
 }
 
 // WithBufferAccesses sets how many SRAM accesses one buffering event
 // charges per bit (1 = paper's Eq. 1, 2 = explicit write+read).
 func (m Model) WithBufferAccesses(n int) (Model, error) {
-	out := m
-	out.m.BufferAccessesPerEvent = n
-	if err := out.m.Validate(); err != nil {
-		return Model{}, err
-	}
-	return out, nil
+	return m.with(func(spec *study.ModelSpec) { spec.BufferAccesses = n })
 }
 
 // WithStaticPower attaches the default static-power model (leakage and
@@ -107,7 +114,7 @@ func (m Model) WithBufferAccesses(n int) (Model, error) {
 // reproduces the paper's dynamic-only accounting.
 func (m Model) WithStaticPower() Model {
 	out := m
-	out.m.Static = core.DefaultStaticPower()
+	out.spec.Static = true
 	return out
 }
 
@@ -124,7 +131,11 @@ func (b BitEnergy) TotalFJ() float64 { return b.SwitchFJ + b.BufferFJ + b.WireFJ
 // Analytic evaluates the paper's closed-form worst-case bit energy
 // (Eqs. 3–6) for one contention-free bit through the architecture.
 func Analytic(a Architecture, ports int, m Model) (BitEnergy, error) {
-	b, err := m.m.BitEnergy(a.core(), ports)
+	model, err := m.spec.Build()
+	if err != nil {
+		return BitEnergy{}, err
+	}
+	b, err := model.BitEnergy(a.core(), ports)
 	if err != nil {
 		return BitEnergy{}, err
 	}
@@ -148,7 +159,8 @@ const (
 // Options configures one simulation.
 type Options struct {
 	// Architecture and Ports select the fabric (ports must be a power of
-	// two for the multistage fabrics; Batcher-Banyan needs ≥ 4).
+	// two for the multistage fabrics; Batcher-Banyan needs ≥ 4). A zero
+	// Ports selects the scenario default of 16.
 	Architecture Architecture
 	Ports        int
 	// OfferedLoad is the per-port injection probability per cell slot,
@@ -161,8 +173,9 @@ type Options struct {
 	// MeanBurstSlots tunes BurstyTraffic (default 10).
 	MeanBurstSlots float64
 	// HotspotPort and HotspotFraction tune HotspotTraffic (defaults 0
-	// and 0.3). A zero HotspotFraction alone selects the 0.3 default;
-	// set ZeroHotspotFraction to make the zero literal.
+	// and 0.3; the port must lie in [0, Ports)). A zero HotspotFraction
+	// alone selects the 0.3 default; set ZeroHotspotFraction to make the
+	// zero literal.
 	HotspotPort     int
 	HotspotFraction float64
 	// ZeroHotspotFraction makes HotspotFraction: 0 literal — a hotspot
@@ -180,8 +193,9 @@ type Options struct {
 	MeasureSlots uint64
 	// NoWarmup makes WarmupSlots: 0 literal (see WarmupSlots).
 	NoWarmup bool
-	// Seed makes the run deterministic (default 1). A zero Seed alone
-	// selects the default; set ZeroSeed to run on seed 0 itself.
+	// Seed makes the run deterministic (default 1): the traffic stream
+	// derives from (Seed, Ports, OfferedLoad). A zero Seed alone selects
+	// the default; set ZeroSeed to run on seed 0 itself.
 	Seed int64
 	// ZeroSeed makes Seed: 0 literal (see Seed).
 	ZeroSeed bool
@@ -196,26 +210,54 @@ type Options struct {
 	Model *Model
 }
 
-func (o Options) withDefaults() Options {
-	if o.CellBits == 0 {
-		o.CellBits = 1024
+// scenario translates the options into the study scenario Simulate
+// runs. Unset fields are left for the scenario's own defaults; the
+// escape hatches map onto its pointer fields, whose nil means "unset".
+func (o Options) scenario() (study.Scenario, error) {
+	model := DefaultModel()
+	if o.Model != nil {
+		model = *o.Model
 	}
-	if o.MeanBurstSlots == 0 {
-		o.MeanBurstSlots = 10
+	sc := study.Scenario{
+		Model: model.spec,
+		Fabric: study.FabricSpec{
+			Arch:     o.Architecture.String(),
+			Ports:    o.Ports,
+			CellBits: o.CellBits,
+		},
+		Traffic: study.TrafficSpec{
+			Load:           o.OfferedLoad,
+			MeanBurstSlots: o.MeanBurstSlots,
+			HotspotPort:    o.HotspotPort,
+		},
+		DPM: o.DPM,
+		Sim: study.SimSpec{MeasureSlots: o.MeasureSlots, Seed: o.Seed},
 	}
-	if o.HotspotFraction == 0 && !o.ZeroHotspotFraction {
-		o.HotspotFraction = 0.3
+	switch o.Traffic {
+	case UniformTraffic:
+		sc.Traffic.Kind = "uniform"
+	case BurstyTraffic:
+		sc.Traffic.Kind = "bursty"
+	case HotspotTraffic:
+		sc.Traffic.Kind = "hotspot"
+	default:
+		return study.Scenario{}, fmt.Errorf("fabricpower: unknown traffic kind %d", int(o.Traffic))
 	}
-	if o.WarmupSlots == 0 && !o.NoWarmup {
-		o.WarmupSlots = 300
+	if o.HotspotFraction != 0 || o.ZeroHotspotFraction {
+		f := o.HotspotFraction
+		sc.Traffic.HotspotFraction = &f
 	}
-	if o.MeasureSlots == 0 {
-		o.MeasureSlots = 3000
+	if o.UseVOQ {
+		sc.Queue = "voq"
+	}
+	if o.WarmupSlots != 0 || o.NoWarmup {
+		w := o.WarmupSlots
+		sc.Sim.WarmupSlots = &w
 	}
 	if o.Seed == 0 && !o.ZeroSeed {
-		o.Seed = 1
+		sc.Sim.Seed = 1
 	}
-	return o
+	return sc, nil
 }
 
 // Report is the outcome of one simulation.
@@ -273,72 +315,15 @@ type DPMStats struct {
 func (r Report) TotalMW() float64 { return r.SwitchMW + r.BufferMW + r.WireMW + r.StaticMW }
 
 // Simulate runs the bit-accurate simulation platform on one operating
-// point and reports measured throughput, latency and power.
+// point and reports measured throughput, latency and power. The point
+// runs as a study.Scenario, so its traffic stream derives from (Seed,
+// Ports, OfferedLoad) exactly as on every grid and `fabricpower run`.
 func Simulate(opt Options) (Report, error) {
-	opt = opt.withDefaults()
-	model := core.PaperModel()
-	if opt.Model != nil {
-		model = opt.Model.m
-	}
-	cellCfg := packet.Config{CellBits: opt.CellBits, BusWidth: model.Tech.BusWidth}
-	queue := router.FIFO
-	if opt.UseVOQ {
-		queue = router.VOQ
-	}
-	var mgr *dpm.Manager
-	if opt.DPM != "" {
-		pol, err := dpm.NewPolicy(opt.DPM)
-		if err != nil {
-			return Report{}, err
-		}
-		mgr, err = dpm.New(dpm.Config{
-			Arch:     opt.Architecture.core(),
-			Ports:    opt.Ports,
-			Model:    model,
-			CellBits: opt.CellBits,
-			Policy:   pol,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-	}
-	rcfg := router.Config{
-		Arch: opt.Architecture.core(),
-		Fabric: fabric.Config{
-			Ports: opt.Ports,
-			Cell:  cellCfg,
-			Model: model,
-		},
-		Queue: queue,
-	}
-	if mgr != nil {
-		rcfg.Gate = mgr
-	}
-	r, err := router.New(rcfg)
+	sc, err := opt.scenario()
 	if err != nil {
 		return Report{}, err
 	}
-	var gen sim.Generator
-	switch opt.Traffic {
-	case UniformTraffic:
-		gen, err = traffic.NewInjector(opt.Ports, opt.OfferedLoad, cellCfg, nil, opt.Seed)
-	case BurstyTraffic:
-		gen, err = traffic.NewOnOffInjector(opt.Ports, opt.MeanBurstSlots, opt.OfferedLoad, cellCfg, nil, opt.Seed)
-	case HotspotTraffic:
-		gen, err = traffic.NewInjector(opt.Ports, opt.OfferedLoad, cellCfg,
-			traffic.Hotspot{Port: opt.HotspotPort, Fraction: opt.HotspotFraction}, opt.Seed)
-	default:
-		return Report{}, fmt.Errorf("fabricpower: unknown traffic kind %d", int(opt.Traffic))
-	}
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := sim.Run(r, gen, model.Tech, opt.CellBits, sim.Options{
-		WarmupSlots:  opt.WarmupSlots,
-		NoWarmup:     opt.NoWarmup,
-		MeasureSlots: opt.MeasureSlots,
-		DPM:          mgr,
-	})
+	res, err := study.RunScenario(sc)
 	if err != nil {
 		return Report{}, err
 	}
@@ -350,15 +335,12 @@ func Simulate(opt Options) (Report, error) {
 		BufferMW:        res.Power.BufferMW,
 		WireMW:          res.Power.WireMW,
 		StaticMW:        res.Power.StaticMW,
+		EnergyPerBitFJ:  res.EnergyPerBitFJ,
 		BufferEvents:    res.BufferEvents,
 		DroppedCells:    res.DroppedCells,
 	}
-	deliveredBits := res.Throughput * float64(opt.Ports) * float64(res.Slots) * float64(opt.CellBits)
-	if deliveredBits > 0 {
-		rep.EnergyPerBitFJ = res.Energy.TotalFJ() / deliveredBits
-	}
 	if d := res.DPM; d != nil {
-		stats := &DPMStats{
+		rep.DPM = &DPMStats{
 			Policy:         d.Policy,
 			GatedPortSlots: d.GatedPortSlots,
 			DrowsySlots:    d.DrowsySlots,
@@ -366,9 +348,8 @@ func Simulate(opt Options) (Report, error) {
 			Transitions:    d.Transitions,
 			WakeEvents:     d.WakeEvents,
 			DVFSShifts:     d.DVFSShifts,
+			SavedMW:        tech.PowerMW(d.SavedFJ(), float64(res.Slots)*res.SlotNS),
 		}
-		stats.SavedMW = tech.PowerMW(d.SavedFJ(), float64(res.Slots)*model.Tech.CellTimeNS(opt.CellBits))
-		rep.DPM = stats
 	}
 	return rep, nil
 }

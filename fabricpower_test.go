@@ -3,6 +3,8 @@ package fabricpower
 import (
 	"math"
 	"testing"
+
+	"fabricpower/study"
 )
 
 func TestArchitectureNames(t *testing.T) {
@@ -100,6 +102,12 @@ func TestSimulateRejectsBadOptions(t *testing.T) {
 	if _, err := Simulate(Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.5, Traffic: TrafficKind(9)}); err == nil {
 		t.Fatal("bad traffic kind should fail")
 	}
+	for _, port := range []int{-1, 8, 99} {
+		if _, err := Simulate(Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3,
+			Traffic: HotspotTraffic, HotspotPort: port}); err == nil {
+			t.Errorf("hotspot port %d on an 8-port fabric should fail", port)
+		}
+	}
 }
 
 func TestSimulateTrafficKinds(t *testing.T) {
@@ -142,19 +150,28 @@ func TestSimulateVOQOption(t *testing.T) {
 // zero value of each trapped field selects the documented default, and
 // the matching bool makes the zero literal.
 func TestOptionsExplicitZeros(t *testing.T) {
-	d := Options{}.withDefaults()
-	if d.WarmupSlots != 300 || d.Seed != 1 || d.HotspotFraction != 0.3 {
-		t.Fatalf("defaults: %+v", d)
+	resolved := func(o Options) study.Scenario {
+		t.Helper()
+		sc, err := o.scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc.Resolved()
 	}
-	e := Options{NoWarmup: true, ZeroSeed: true, ZeroHotspotFraction: true}.withDefaults()
-	if e.WarmupSlots != 0 {
-		t.Fatalf("NoWarmup should keep WarmupSlots at 0, got %d", e.WarmupSlots)
+	d := resolved(Options{})
+	if *d.Sim.WarmupSlots != 300 || d.Sim.Seed != 1 || *d.Traffic.HotspotFraction != 0.3 {
+		t.Fatalf("defaults: warmup %d, seed %d, hotspot fraction %g",
+			*d.Sim.WarmupSlots, d.Sim.Seed, *d.Traffic.HotspotFraction)
 	}
-	if e.Seed != 0 {
-		t.Fatalf("ZeroSeed should keep Seed at 0, got %d", e.Seed)
+	e := resolved(Options{NoWarmup: true, ZeroSeed: true, ZeroHotspotFraction: true})
+	if *e.Sim.WarmupSlots != 0 {
+		t.Fatalf("NoWarmup should keep WarmupSlots at 0, got %d", *e.Sim.WarmupSlots)
 	}
-	if e.HotspotFraction != 0 {
-		t.Fatalf("ZeroHotspotFraction should keep the fraction at 0, got %g", e.HotspotFraction)
+	if e.Sim.Seed != 0 {
+		t.Fatalf("ZeroSeed should keep Seed at 0, got %d", e.Sim.Seed)
+	}
+	if *e.Traffic.HotspotFraction != 0 {
+		t.Fatalf("ZeroHotspotFraction should keep the fraction at 0, got %g", *e.Traffic.HotspotFraction)
 	}
 	// A zero-fraction hotspot is a uniform source: it must run and
 	// deliver (the old defaulting silently rewrote it to 0.3).
@@ -234,6 +251,107 @@ func TestSimulateDPMReport(t *testing.T) {
 	}
 	if _, err := Simulate(func() Options { o := base; o.DPM = "perpetualmotion"; return o }()); err == nil {
 		t.Fatal("unknown policy should fail")
+	}
+}
+
+// TestSimulateMatchesScenario pins the facade: Simulate on a set of
+// options measures exactly what study.RunScenario measures on the
+// scenario those options describe.
+func TestSimulateMatchesScenario(t *testing.T) {
+	warm := func(w uint64) *uint64 { return &w }
+	frac := func(f float64) *float64 { return &f }
+	static := DefaultModel().WithStaticPower()
+	scaled, err := PerWordBufferModel().WithTechScaling(0.72, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scaled, err = scaled.WithBufferAccesses(2); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		opt  Options
+		sc   study.Scenario
+	}{
+		{"uniform",
+			Options{Architecture: Banyan, Ports: 8, OfferedLoad: 0.3, MeasureSlots: 300, WarmupSlots: 50},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "banyan", Ports: 8},
+				Traffic: study.TrafficSpec{Kind: "uniform", Load: 0.3},
+				Sim:     study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300, Seed: 1}}},
+		{"bursty",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3, Traffic: BurstyTraffic, MeanBurstSlots: 5,
+				MeasureSlots: 300, WarmupSlots: 50, Seed: 9},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8},
+				Traffic: study.TrafficSpec{Kind: "bursty", Load: 0.3, MeanBurstSlots: 5},
+				Sim:     study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300, Seed: 9}}},
+		{"hotspot",
+			Options{Architecture: FullyConnected, Ports: 8, OfferedLoad: 0.3, Traffic: HotspotTraffic,
+				HotspotPort: 5, HotspotFraction: 0.5, MeasureSlots: 300, WarmupSlots: 50},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "fullyconnected", Ports: 8},
+				Traffic: study.TrafficSpec{Kind: "hotspot", Load: 0.3, HotspotPort: 5, HotspotFraction: frac(0.5)},
+				Sim:     study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300, Seed: 1}}},
+		{"voq",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.9, UseVOQ: true, MeasureSlots: 300, WarmupSlots: 50},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8}, Queue: "voq",
+				Traffic: study.TrafficSpec{Load: 0.9},
+				Sim:     study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300, Seed: 1}}},
+		{"dpm",
+			Options{Architecture: Banyan, Ports: 8, OfferedLoad: 0.1, DPM: "composite", Model: &static,
+				MeasureSlots: 300, WarmupSlots: 50},
+			study.Scenario{Model: study.ModelSpec{Static: true}, Fabric: study.FabricSpec{Arch: "banyan", Ports: 8},
+				Traffic: study.TrafficSpec{Load: 0.1}, DPM: "composite",
+				Sim: study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300, Seed: 1}}},
+		{"nowarmup",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3, NoWarmup: true, MeasureSlots: 300},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8}, Traffic: study.TrafficSpec{Load: 0.3},
+				Sim: study.SimSpec{WarmupSlots: warm(0), MeasureSlots: 300, Seed: 1}}},
+		{"zeroseed",
+			Options{Architecture: Crossbar, Ports: 8, OfferedLoad: 0.3, ZeroSeed: true, MeasureSlots: 300, WarmupSlots: 50},
+			study.Scenario{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8}, Traffic: study.TrafficSpec{Load: 0.3},
+				Sim: study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300}}},
+		{"scaled model",
+			Options{Architecture: Banyan, Ports: 8, OfferedLoad: 0.4, Model: &scaled, MeasureSlots: 300, WarmupSlots: 50},
+			study.Scenario{Model: study.ModelSpec{Base: "perword", BufferAccesses: 2, TechScale: &study.TechScale{S: 0.72, SV: 0.55}},
+				Fabric: study.FabricSpec{Arch: "banyan", Ports: 8}, Traffic: study.TrafficSpec{Load: 0.4},
+				Sim: study.SimSpec{WarmupSlots: warm(50), MeasureSlots: 300, Seed: 1}}},
+	}
+	for _, c := range cases {
+		rep, err := Simulate(c.opt)
+		if err != nil {
+			t.Fatalf("%s: Simulate: %v", c.name, err)
+		}
+		res, err := study.RunScenario(c.sc)
+		if err != nil {
+			t.Fatalf("%s: RunScenario: %v", c.name, err)
+		}
+		want := Report{
+			Throughput:      res.Throughput,
+			AvgLatencySlots: res.AvgLatencySlots,
+			MaxLatencySlots: res.MaxLatencySlots,
+			SwitchMW:        res.Power.SwitchMW,
+			BufferMW:        res.Power.BufferMW,
+			WireMW:          res.Power.WireMW,
+			StaticMW:        res.Power.StaticMW,
+			EnergyPerBitFJ:  res.EnergyPerBitFJ,
+			BufferEvents:    res.BufferEvents,
+			DroppedCells:    res.DroppedCells,
+		}
+		got := rep
+		got.DPM = nil
+		if got != want {
+			t.Errorf("%s: Simulate %+v\nRunScenario %+v", c.name, got, want)
+		}
+		if (rep.DPM == nil) != (res.DPM == nil) {
+			t.Fatalf("%s: DPM ledger presence differs", c.name)
+		}
+		if d := res.DPM; d != nil {
+			s := rep.DPM
+			if s.Policy != d.Policy || s.GatedPortSlots != d.GatedPortSlots || s.DrowsySlots != d.DrowsySlots ||
+				s.StalledSlots != d.StalledSlots || s.Transitions != d.Transitions ||
+				s.WakeEvents != d.WakeEvents || s.DVFSShifts != d.DVFSShifts {
+				t.Errorf("%s: DPM stats %+v, report %+v", c.name, s, d)
+			}
+		}
 	}
 }
 

@@ -157,6 +157,12 @@ type Model struct {
 	// ablation in internal/exp quantifies the difference).
 	BufferAccessesPerEvent int
 
+	// FCAverageWires switches the simulated fully-connected fabric from
+	// the paper's worst-case ½·N² wire charge (Eq. 4) to the
+	// routed-average ¼·N² — the layout-sensitivity ablation in
+	// internal/exp. The closed-form BitEnergy keeps the worst case.
+	FCAverageWires bool
+
 	// Static is the always-on power model (leakage and clock trees) the
 	// power-management subsystem (internal/dpm) charges per slot. The
 	// zero value — PaperModel's default — means no static power: the

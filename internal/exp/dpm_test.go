@@ -10,27 +10,23 @@ import (
 	"fabricpower/study"
 )
 
-func dpmModel() core.Model {
-	m := core.PaperModel()
-	m.Static = core.DefaultStaticPower()
-	return m
-}
-
-// dpmSpec is dpmModel in declarative form, for the study-level runners.
+// dpmSpec is the default static-power model in declarative form.
 func dpmSpec() study.ModelSpec { return study.ModelSpec{Static: true} }
 
 // TestAlwaysOnZeroStaticBitIdentical pins the acceptance contract: an
-// AlwaysOn manager over the paper's zero-static model reproduces
-// RunPoint bit for bit — same throughput, latency, energy ledger and
-// power — with an all-zero management ledger on the side.
+// AlwaysOn manager over the paper's zero-static model reproduces the
+// unmanaged point bit for bit — same throughput, latency, energy ledger
+// and power — with an all-zero management ledger on the side.
 func TestAlwaysOnZeroStaticBitIdentical(t *testing.T) {
 	p := SimParams{WarmupSlots: 80, MeasureSlots: 400, Seed: 7}
 	for _, arch := range core.Architectures() {
-		base, err := RunPoint(core.PaperModel(), arch, 8, 0.3, p)
+		sc := PointSpec(study.PaperModel(), arch, 8, 0.3, p).Base
+		base, err := study.RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		managed, err := RunDPMPoint(core.PaperModel(), "alwayson", arch, 8, 0.3, p, nil)
+		sc.DPM = "alwayson"
+		managed, err := study.RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +39,7 @@ func TestAlwaysOnZeroStaticBitIdentical(t *testing.T) {
 		}
 		managed.DPM = nil
 		if !reflect.DeepEqual(base, managed) {
-			t.Fatalf("%v: AlwaysOn over zero static diverged from RunPoint:\nbase    %+v\nmanaged %+v",
+			t.Fatalf("%v: AlwaysOn over zero static diverged from the unmanaged run:\nbase    %+v\nmanaged %+v",
 				arch, base, managed)
 		}
 	}
@@ -54,16 +50,18 @@ func TestAlwaysOnZeroStaticBitIdentical(t *testing.T) {
 // must undercut the always-on total power, at the price of (bounded)
 // extra latency.
 func TestIdleGateBeatsAlwaysOnLowLoad(t *testing.T) {
-	p := SimParams{WarmupSlots: 200, MeasureSlots: 2000, Seed: 1}
-	model := dpmModel()
-	always, err := RunDPMPoint(model, "alwayson", core.Banyan, 16, 0.10, p, nil)
+	p := SimParams{WarmupSlots: 200, MeasureSlots: 2000, Seed: 1, Workers: 1}
+	s, err := RunDPMStudy(dpmSpec(), []string{"alwayson", "idlegate"},
+		[]core.Architecture{core.Banyan}, 16, []float64{0.10}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gated, err := RunDPMPoint(model, "idlegate", core.Banyan, 16, 0.10, p, nil)
-	if err != nil {
-		t.Fatal(err)
+	alwaysPt, ok1 := s.Point("alwayson", core.Banyan, 0.10)
+	gatedPt, ok2 := s.Point("idlegate", core.Banyan, 0.10)
+	if !ok1 || !ok2 {
+		t.Fatal("study is missing a policy point")
 	}
+	always, gated := alwaysPt.Result, gatedPt.Result
 	if got, want := gated.Power.TotalMW(), always.Power.TotalMW(); got >= want {
 		t.Fatalf("idlegate total %.4f mW should be below alwayson %.4f mW at 10%% load", got, want)
 	}
@@ -76,7 +74,7 @@ func TestIdleGateBeatsAlwaysOnLowLoad(t *testing.T) {
 	if gated.AvgLatencySlots < always.AvgLatencySlots {
 		t.Fatalf("gating cannot reduce latency: %.3f vs %.3f", gated.AvgLatencySlots, always.AvgLatencySlots)
 	}
-	if gated.AvgLatencySlots > always.AvgLatencySlots+float64(model.Static.WakeupSlots)+1 {
+	if gated.AvgLatencySlots > always.AvgLatencySlots+float64(core.DefaultStaticPower().WakeupSlots)+1 {
 		t.Fatalf("wakeup latency penalty out of bounds: %.3f vs %.3f", gated.AvgLatencySlots, always.AvgLatencySlots)
 	}
 }

@@ -31,13 +31,7 @@ package exp
 import (
 	"fmt"
 
-	"fabricpower/internal/core"
-	"fabricpower/internal/fabric"
-	"fabricpower/internal/packet"
 	"fabricpower/internal/router"
-	"fabricpower/internal/sim"
-	"fabricpower/internal/sweep"
-	"fabricpower/internal/traffic"
 )
 
 // SimParams carries the shared simulation knobs. The zero value uses
@@ -72,38 +66,6 @@ func (p SimParams) WithDefaults() SimParams {
 		p.CellBits = 1024
 	}
 	return p
-}
-
-// cellConfig returns the packet geometry for the params.
-func (p SimParams) cellConfig() packet.Config {
-	return packet.Config{CellBits: p.CellBits, BusWidth: 32}
-}
-
-// RunPoint simulates one (architecture, ports, offered load) operating
-// point and returns the measurement. It is the building block every
-// figure runner shares.
-func RunPoint(model core.Model, arch core.Architecture, ports int, load float64, p SimParams) (sim.Result, error) {
-	p = p.WithDefaults()
-	r, err := router.New(router.Config{
-		Arch: arch,
-		Fabric: fabric.Config{
-			Ports: ports,
-			Cell:  p.cellConfig(),
-			Model: model,
-		},
-		Queue: p.Queue,
-	})
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("exp: %v %d ports: %w", arch, ports, err)
-	}
-	gen, err := traffic.NewInjector(ports, load, p.cellConfig(), nil, sweep.PointSeed(p.Seed, ports, load))
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(r, gen, model.Tech, p.CellBits, sim.Options{
-		WarmupSlots:  p.WarmupSlots,
-		MeasureSlots: p.MeasureSlots,
-	})
 }
 
 // DefaultSizes returns the paper's port configurations (4×4 … 32×32).

@@ -69,8 +69,8 @@ type NetworkStudyOptions struct {
 	// routing and DPM — so every (routing, policy) pair at one point
 	// sees the identical failure schedule. Nil or empty runs fault-free.
 	Failures *study.FailureSpec
-	// IdleSkip selects the kernel's idle-node fast path: "" or "auto"
-	// and "on" enable it, "off" forces the full per-slot walk. Both are
+	// IdleSkip selects the kernel's idle-node fast path: "" and "on"
+	// enable it, "off" forces the full per-slot walk. Both are
 	// bit-identical; the switch is the CLI's divergence-bisection hatch.
 	IdleSkip string
 }

@@ -6,11 +6,7 @@ import (
 	"io"
 
 	"fabricpower/internal/core"
-	"fabricpower/internal/fabric"
 	"fabricpower/internal/plot"
-	"fabricpower/internal/router"
-	"fabricpower/internal/sim"
-	"fabricpower/internal/traffic"
 	"fabricpower/study"
 )
 
@@ -138,37 +134,48 @@ func (s *Saturation) Render(w io.Writer) error {
 	return err
 }
 
+// runVariants runs one operating point once per variant of its
+// scenario, in order: the ablations' A/B comparisons. Every variant
+// keeps the point's (seed, ports, load) and so its traffic stream.
+func runVariants(base study.Scenario, variants ...func(*study.Scenario)) ([]study.Result, error) {
+	out := make([]study.Result, len(variants))
+	for i, vary := range variants {
+		sc := base
+		vary(&sc)
+		r, err := study.RunScenario(sc)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
 // BufferAblation quantifies the Eq. 1 accounting choice: one combined
 // access per buffering event (paper) vs explicit write+read.
 type BufferAblation struct {
 	Ports     int
 	Load      float64
-	OneAccess sim.Result
-	TwoAccess sim.Result
+	OneAccess study.Result
+	TwoAccess study.Result
 }
 
 // RunBufferAblation runs the Banyan at one operating point under both
 // accounting rules.
-func RunBufferAblation(model core.Model, ports int, load float64, p SimParams) (*BufferAblation, error) {
+func RunBufferAblation(model study.ModelSpec, ports int, load float64, p SimParams) (*BufferAblation, error) {
 	if ports == 0 {
 		ports = 16
 	}
 	if load == 0 {
 		load = 0.5
 	}
-	one := model
-	one.BufferAccessesPerEvent = 1
-	two := model
-	two.BufferAccessesPerEvent = 2
-	r1, err := RunPoint(one, core.Banyan, ports, load, p)
+	rs, err := runVariants(PointSpec(model, core.Banyan, ports, load, p).Base,
+		func(sc *study.Scenario) { sc.Model.BufferAccesses = 1 },
+		func(sc *study.Scenario) { sc.Model.BufferAccesses = 2 })
 	if err != nil {
 		return nil, err
 	}
-	r2, err := RunPoint(two, core.Banyan, ports, load, p)
-	if err != nil {
-		return nil, err
-	}
-	return &BufferAblation{Ports: ports, Load: load, OneAccess: r1, TwoAccess: r2}, nil
+	return &BufferAblation{Ports: ports, Load: load, OneAccess: rs[0], TwoAccess: rs[1]}, nil
 }
 
 // Render writes the comparison.
@@ -189,52 +196,26 @@ func (a *BufferAblation) Render(w io.Writer) error {
 type FCWireAblation struct {
 	Ports int
 	Load  float64
-	Worst sim.Result
-	Avg   sim.Result
+	Worst study.Result
+	Avg   study.Result
 }
 
 // RunFCWireAblation runs the fully-connected fabric under both wire
 // models.
-func RunFCWireAblation(model core.Model, ports int, load float64, p SimParams) (*FCWireAblation, error) {
+func RunFCWireAblation(model study.ModelSpec, ports int, load float64, p SimParams) (*FCWireAblation, error) {
 	if ports == 0 {
 		ports = 32
 	}
 	if load == 0 {
 		load = 0.5
 	}
-	p = p.WithDefaults()
-	run := func(avg bool) (sim.Result, error) {
-		r, err := router.New(router.Config{
-			Arch: core.FullyConnected,
-			Fabric: fabric.Config{
-				Ports:          ports,
-				Cell:           p.cellConfig(),
-				Model:          model,
-				FCAverageWires: avg,
-			},
-			Queue: p.Queue,
-		})
-		if err != nil {
-			return sim.Result{}, err
-		}
-		gen, err := traffic.NewInjector(ports, load, p.cellConfig(), nil, p.Seed+77)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return sim.Run(r, gen, model.Tech, p.CellBits, sim.Options{
-			WarmupSlots:  p.WarmupSlots,
-			MeasureSlots: p.MeasureSlots,
-		})
-	}
-	worst, err := run(false)
+	rs, err := runVariants(PointSpec(model, core.FullyConnected, ports, load, p).Base,
+		func(sc *study.Scenario) { sc.Model.FCAverageWires = false },
+		func(sc *study.Scenario) { sc.Model.FCAverageWires = true })
 	if err != nil {
 		return nil, err
 	}
-	avg, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &FCWireAblation{Ports: ports, Load: load, Worst: worst, Avg: avg}, nil
+	return &FCWireAblation{Ports: ports, Load: load, Worst: rs[0], Avg: rs[1]}, nil
 }
 
 // Render writes the comparison.
@@ -253,28 +234,22 @@ func (a *FCWireAblation) Render(w io.Writer) error {
 // extension at saturation.
 type QueueAblation struct {
 	Ports int
-	FIFO  sim.Result
-	VOQ   sim.Result
+	FIFO  study.Result
+	VOQ   study.Result
 }
 
 // RunQueueAblation saturates both disciplines on the crossbar.
-func RunQueueAblation(model core.Model, ports int, p SimParams) (*QueueAblation, error) {
+func RunQueueAblation(model study.ModelSpec, ports int, p SimParams) (*QueueAblation, error) {
 	if ports == 0 {
 		ports = 16
 	}
-	pf := p
-	pf.Queue = router.FIFO
-	rf, err := RunPoint(model, core.Crossbar, ports, 1.0, pf)
+	rs, err := runVariants(PointSpec(model, core.Crossbar, ports, 1.0, p).Base,
+		func(sc *study.Scenario) { sc.Queue = "fifo" },
+		func(sc *study.Scenario) { sc.Queue = "voq" })
 	if err != nil {
 		return nil, err
 	}
-	pv := p
-	pv.Queue = router.VOQ
-	rv, err := RunPoint(model, core.Crossbar, ports, 1.0, pv)
-	if err != nil {
-		return nil, err
-	}
-	return &QueueAblation{Ports: ports, FIFO: rf, VOQ: rv}, nil
+	return &QueueAblation{Ports: ports, FIFO: rs[0], VOQ: rs[1]}, nil
 }
 
 // Render writes the comparison.

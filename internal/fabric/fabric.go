@@ -40,10 +40,6 @@ type Config struct {
 	// from Model.PerNodeBufferBits / Cell.CellBits (the paper's 4 Kbit
 	// node buffer holds 4 cells of 1 Kbit).
 	BufferCells int
-	// FCAverageWires switches the fully-connected fabric from the
-	// paper's worst-case ½·N² wire charge (Eq. 4) to the routed-average
-	// ¼·N² — the layout-sensitivity ablation.
-	FCAverageWires bool
 }
 
 // Validate checks the configuration.

@@ -22,7 +22,7 @@ type fullyConnected struct {
 	energy    core.Breakdown
 	mux       energy.Table
 	// grids is the per-bit wire charge: the paper's worst-case ½·N², or
-	// the routed-average ¼·N² when Config.FCAverageWires selects the
+	// the routed-average ¼·N² when Model.FCAverageWires selects the
 	// layout-sensitivity ablation.
 	grids float64
 }
@@ -34,7 +34,7 @@ func newFullyConnected(cfg Config) (*fullyConnected, error) {
 	}
 	wires := thompson.FullyConnectedWires{N: cfg.Ports}
 	grids := float64(wires.WorstGrids())
-	if cfg.FCAverageWires {
+	if cfg.Model.FCAverageWires {
 		grids = float64(wires.AvgGrids())
 	}
 	return &fullyConnected{

@@ -82,9 +82,6 @@ func TestIdleSkipDeterminism(t *testing.T) {
 					if !reflect.DeepEqual(off, on) {
 						t.Errorf("shards=%d: idle-skip report differs from always-step", shards)
 					}
-					if auto := run("auto", shards); !reflect.DeepEqual(on, auto) {
-						t.Errorf("shards=%d: auto differs from on", shards)
-					}
 				}
 			})
 		}
@@ -147,9 +144,11 @@ func TestIdleSkipRejectsUnknownMode(t *testing.T) {
 	}
 	cfg := testConfig(topo)
 	cfg.Load = 0.1
-	cfg.IdleSkip = "sometimes"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("IdleSkip=sometimes was accepted")
+	for _, mode := range []string{"auto", "sometimes"} {
+		cfg.IdleSkip = mode
+		if _, err := New(cfg); err == nil {
+			t.Errorf("IdleSkip=%s was accepted", mode)
+		}
 	}
 }
 

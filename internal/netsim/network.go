@@ -94,8 +94,8 @@ type Config struct {
 	// cost-weighted default: greedy LPT over a static per-node estimate
 	// of traversal work.
 	Partition []int
-	// IdleSkip controls the idle fast path: "auto" or "on" (and the
-	// empty default) let the kernel fast-forward provably idle nodes —
+	// IdleSkip controls the idle fast path: "on" (and the empty
+	// default) lets the kernel fast-forward provably idle nodes —
 	// no queued or in-flight cells, no arrivals this slot — through a
 	// reduced per-slot path that replays the full path's state changes
 	// bit-identically; "off" forces every node through the full step
@@ -311,11 +311,11 @@ func New(cfg Config) (*Network, error) {
 	}
 	idleSkip := false
 	switch cfg.IdleSkip {
-	case "", "auto", "on":
+	case "", "on":
 		idleSkip = true
 	case "off":
 	default:
-		return nil, fmt.Errorf("netsim: unknown IdleSkip %q (want auto, on or off)", cfg.IdleSkip)
+		return nil, fmt.Errorf("netsim: unknown IdleSkip %q (want on or off)", cfg.IdleSkip)
 	}
 	flows := cfg.Flows
 	if len(flows) == 0 {

@@ -43,7 +43,7 @@ type Options struct {
 	// energy after, and its ledger lands in Result.DPM and
 	// Power.StaticMW. The same manager must also be installed as the
 	// router's admission gate (router.Config.Gate) so gated ports
-	// refuse cells — exp.RunDPMPoint wires both ends. Nil reproduces
+	// refuse cells — study.RunScenario wires both ends. Nil reproduces
 	// the paper's always-on, dynamic-only accounting exactly.
 	DPM *dpm.Manager
 	// Telemetry, when non-nil, samples an every-K-slots time series of

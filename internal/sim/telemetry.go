@@ -29,14 +29,18 @@ func (tc TelemetryConfig) withDefaults() TelemetryConfig {
 }
 
 // DPMTelemetry is the manager's state-machine activity over one
-// interval.
+// interval: the counters are deltas, while WakingPorts, DVFSLevel and
+// Load are the manager's state at the sample's Slot (dpm.Manager.State).
 type DPMTelemetry struct {
-	GatedPortSlots uint64 `json:"gatedPortSlots"`
-	DrowsySlots    uint64 `json:"drowsySlots"`
-	StalledSlots   uint64 `json:"stalledSlots"`
-	Transitions    uint64 `json:"transitions"`
-	WakeEvents     uint64 `json:"wakeEvents"`
-	DVFSShifts     uint64 `json:"dvfsShifts"`
+	GatedPortSlots uint64  `json:"gatedPortSlots"`
+	DrowsySlots    uint64  `json:"drowsySlots"`
+	StalledSlots   uint64  `json:"stalledSlots"`
+	Transitions    uint64  `json:"transitions"`
+	WakeEvents     uint64  `json:"wakeEvents"`
+	DVFSShifts     uint64  `json:"dvfsShifts"`
+	WakingPorts    int     `json:"wakingPorts"`
+	DVFSLevel      int     `json:"dvfsLevel"`
+	Load           float64 `json:"load"`
 }
 
 // TelemetrySample is one interval of a single-router time series. Slot
@@ -122,6 +126,7 @@ func (p *probe) take(slot uint64, r *router.Router, mgr *dpm.Manager) {
 			WakeEvents:     now.WakeEvents - p.lastDPM.WakeEvents,
 			DVFSShifts:     now.DVFSShifts - p.lastDPM.DVFSShifts,
 		}
+		p.dpm.WakingPorts, p.dpm.DVFSLevel, p.dpm.Load = mgr.State()
 		p.lastDPM = now
 		smp.DPM = &p.dpm
 	} else {

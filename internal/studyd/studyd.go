@@ -647,7 +647,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.slots }()
 	s.gActive.Add(1)
-	defer s.gActive.Add(-1)
 
 	// The study's context: client disconnect, DELETE, per-study
 	// timeout and server shutdown all funnel into one cancellation.
@@ -722,6 +721,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		errStr = runErr.Error()
 	}
 	s.hDuration.Observe(uint64(durMS))
+	// Leave the active count before the finish line goes out, so a
+	// client that has read the whole stream never sees this study
+	// still counted as active.
+	s.gActive.Add(-1)
 	lw.emit(finishLine{
 		Kind: "study_finish", ID: id, Points: n, Completed: completed,
 		Records: records, DurationMS: durMS, Err: errStr, Cache: snapshotCaches(),

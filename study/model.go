@@ -22,6 +22,10 @@ type ModelSpec struct {
 	// per bit: 0 or 1 is the paper's Eq. 1 single access, 2 charges
 	// write and read explicitly.
 	BufferAccesses int `json:"bufferAccesses,omitempty"`
+	// FCAverageWires charges the fully-connected fabric's wires at the
+	// routed-average ¼·N² grids instead of the paper's worst-case ½·N²
+	// (Eq. 4).
+	FCAverageWires bool `json:"fcAverageWires,omitempty"`
 	// TechScale derives a scaled technology point.
 	TechScale *TechScale `json:"techScale,omitempty"`
 }
@@ -69,6 +73,7 @@ func (m ModelSpec) Build() (core.Model, error) {
 	if m.BufferAccesses != 0 {
 		model.BufferAccessesPerEvent = m.BufferAccesses
 	}
+	model.FCAverageWires = m.FCAverageWires
 	if m.TechScale != nil {
 		tp, err := model.Tech.Scaled(m.TechScale.S, m.TechScale.SV)
 		if err != nil {

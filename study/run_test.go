@@ -190,13 +190,15 @@ func TestRunScenarioNetworkIdleSkipIdentical(t *testing.T) {
 		return r
 	}
 	def := run("")
-	for _, mode := range []string{"auto", "on", "off"} {
+	for _, mode := range []string{"on", "off"} {
 		if got := run(mode); !reflect.DeepEqual(def, got) {
 			t.Errorf("idleSkip=%q result differs from default", mode)
 		}
 	}
-	if _, err := study.RunScenario(scenario("sometimes")); err == nil {
-		t.Error("idleSkip=sometimes was accepted")
+	for _, mode := range []string{"auto", "sometimes"} {
+		if _, err := study.RunScenario(scenario(mode)); err == nil {
+			t.Errorf("idleSkip=%s was accepted", mode)
+		}
 	}
 }
 
@@ -236,6 +238,40 @@ func TestRunScenarioNetworkTrafficKinds(t *testing.T) {
 	}
 	if _, err := study.RunScenario(sc); err == nil {
 		t.Error("hotspot traffic kind accepted on a network scenario")
+	}
+}
+
+// TestRunScenarioBasics: a plain crossbar point carries its offered
+// load and draws power.
+func TestRunScenarioBasics(t *testing.T) {
+	warmup := uint64(150)
+	r, err := study.RunScenario(study.Scenario{
+		Fabric:  study.FabricSpec{Arch: "crossbar", Ports: 8},
+		Traffic: study.TrafficSpec{Load: 0.3},
+		Sim:     study.SimSpec{WarmupSlots: &warmup, MeasureSlots: 900, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Throughput < 0.25 || r.Throughput > 0.35 {
+		t.Fatalf("throughput %g, want ≈0.3", r.Throughput)
+	}
+	if r.Power.TotalMW() <= 0 {
+		t.Fatal("power must be positive")
+	}
+}
+
+// TestRunScenarioRejectsBadConfig: fabrics the architecture cannot
+// build and loads outside [0,1] fail instead of running.
+func TestRunScenarioRejectsBadConfig(t *testing.T) {
+	bad := []study.Scenario{
+		{Fabric: study.FabricSpec{Arch: "banyan", Ports: 6}, Traffic: study.TrafficSpec{Load: 0.3}, Sim: quickSim()},
+		{Fabric: study.FabricSpec{Arch: "crossbar", Ports: 8}, Traffic: study.TrafficSpec{Load: 1.5}, Sim: quickSim()},
+	}
+	for _, sc := range bad {
+		if _, err := study.RunScenario(sc); err == nil {
+			t.Errorf("accepted %s", sc.Label())
+		}
 	}
 }
 

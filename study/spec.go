@@ -128,9 +128,9 @@ type NetworkSpec struct {
 	// network (netsim.FaultPlan). Absent — or present but empty — the
 	// run is fault-free and byte-identical to a spec without the block.
 	Failures *FailureSpec `json:"failures,omitempty"`
-	// IdleSkip selects the kernel's idle-node fast path: "auto" (or
-	// absent) and "on" enable it, "off" forces every node through the
-	// full per-slot walk. Both paths are bit-identical — the switch
+	// IdleSkip selects the kernel's idle-node fast path: "on" (or
+	// absent) enables it, "off" forces every node through the full
+	// per-slot walk. Both paths are bit-identical — the switch
 	// exists so a suspected divergence can be bisected from a spec.
 	IdleSkip string `json:"idleSkip,omitempty"`
 }
@@ -325,8 +325,13 @@ func (s Scenario) Validate() error {
 				}
 			}
 		}
-	} else if sd.Fabric.Ports < 1 {
-		return fmt.Errorf("study: ports must be >= 1, got %d", sd.Fabric.Ports)
+	} else {
+		if sd.Fabric.Ports < 1 {
+			return fmt.Errorf("study: ports must be >= 1, got %d", sd.Fabric.Ports)
+		}
+		if p := sd.Traffic.HotspotPort; sd.Traffic.Kind == "hotspot" && (p < 0 || p >= sd.Fabric.Ports) {
+			return fmt.Errorf("study: hotspot port %d is outside the %d-port fabric", p, sd.Fabric.Ports)
+		}
 	}
 	return s.Model.validate()
 }

@@ -160,6 +160,8 @@ func TestDecodeValidates(t *testing.T) {
 		`{"base": {"traffic": {"load": 1.5}}}`,
 		`{"base": {"fabric": {"ports": 8}, "network": {"topology": "ring", "nodes": 4}}}`,
 		`{"base": {"traffic": {"kind": "hotspot"}, "network": {"topology": "ring", "nodes": 4}}}`,
+		`{"base": {"fabric": {"ports": 8}, "traffic": {"kind": "hotspot", "hotspotPort": -1}}}`,
+		`{"base": {"fabric": {"ports": 8}, "traffic": {"kind": "hotspot", "hotspotPort": 99}}}`,
 	}
 	for _, c := range cases {
 		if _, err := study.DecodeSpec(strings.NewReader(c)); err == nil {

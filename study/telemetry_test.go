@@ -151,6 +151,86 @@ func TestGridRunTelemetryNetwork(t *testing.T) {
 	}
 }
 
+// TestGridRunTelemetryDPMClosesOnReport: a managed point sampled every
+// slot carries the power manager's per-slot trace. The measured-window
+// deltas sum to the point's DPM report, and every sample also reports
+// the manager's state at its slot (waking ports, DVFS level, load EWMA).
+func TestGridRunTelemetryDPMClosesOnReport(t *testing.T) {
+	warmup := uint64(60)
+	g := study.Grid{
+		Base: study.Scenario{
+			Model:   study.ModelSpec{Static: true},
+			Fabric:  study.FabricSpec{Arch: "banyan", Ports: 8},
+			Traffic: study.TrafficSpec{Load: 0.1},
+			DPM:     "composite",
+			Sim:     study.SimSpec{WarmupSlots: &warmup, MeasureSlots: 400, Seed: 11},
+		},
+	}
+	var buf bytes.Buffer
+	gr, err := g.Run(context.Background(), study.RunOptions{
+		Workers:   1,
+		Telemetry: &study.TelemetryOptions{Out: &buf, Every: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := gr.Points[0].Result.DPM
+	if rep == nil {
+		t.Fatal("managed point has no DPM report")
+	}
+	var sum study.DPMReport
+	var samples int
+	var sawWaking, sawDVFS bool
+	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		// The counter deltas share DPMReport's JSON names; the state
+		// fields are pointers so a missing one shows as nil.
+		var s struct {
+			Slot     uint64 `json:"slot"`
+			Interval uint64 `json:"interval"`
+			DPM      *struct {
+				study.DPMReport
+				WakingPorts *int     `json:"wakingPorts"`
+				DVFSLevel   *int     `json:"dvfsLevel"`
+				Load        *float64 `json:"load"`
+			} `json:"dpm"`
+		}
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		d := s.DPM
+		if s.Interval != 1 || d == nil || d.WakingPorts == nil || d.DVFSLevel == nil || d.Load == nil {
+			t.Fatalf("line %d: want a one-slot sample with the manager's state: %s", i, line)
+		}
+		sawWaking = sawWaking || *d.WakingPorts > 0
+		sawDVFS = sawDVFS || *d.DVFSLevel > 0
+		if *d.Load < 0 || *d.Load > 1 {
+			t.Errorf("line %d: load EWMA %g outside [0,1]", i, *d.Load)
+		}
+		if s.Slot <= warmup {
+			continue
+		}
+		samples++
+		sum.GatedPortSlots += d.GatedPortSlots
+		sum.DrowsySlots += d.DrowsySlots
+		sum.StalledSlots += d.StalledSlots
+		sum.Transitions += d.Transitions
+		sum.WakeEvents += d.WakeEvents
+		sum.DVFSShifts += d.DVFSShifts
+	}
+	if samples != 400 {
+		t.Fatalf("%d measured samples, want one per measured slot (400)", samples)
+	}
+	got := [6]uint64{sum.GatedPortSlots, sum.DrowsySlots, sum.StalledSlots, sum.Transitions, sum.WakeEvents, sum.DVFSShifts}
+	want := [6]uint64{rep.GatedPortSlots, rep.DrowsySlots, rep.StalledSlots, rep.Transitions, rep.WakeEvents, rep.DVFSShifts}
+	if got != want {
+		t.Fatalf("telemetry deltas %v do not sum to the report %v (gated, drowsy, stalled, transitions, wakes, shifts)", got, want)
+	}
+	if rep.GatedPortSlots == 0 || rep.DVFSShifts == 0 || !sawWaking || !sawDVFS {
+		t.Errorf("composite at 10%% load should gate, wake and shift DVFS: report %+v, waking seen %v, dvfs seen %v",
+			rep, sawWaking, sawDVFS)
+	}
+}
+
 // TestGridRunTelemetryWindow pins the warmup rebase at the study level:
 // the single-router sample stream's post-warmup intervals sum to
 // exactly the measured slot count, with power flowing in every sample.
