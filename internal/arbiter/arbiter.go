@@ -116,6 +116,10 @@ type ISLIP struct {
 	iterations int
 	grantPtr   []int // per output
 	acceptPtr  []int // per input
+	// Per-call scratch, reused so matching is allocation-free.
+	matchIn  []int // input -> output
+	matchOut []int // output -> input
+	grant    []int // output -> granted input, per iteration
 }
 
 // NewISLIP builds an iSLIP arbiter for the given port count and iteration
@@ -132,12 +136,16 @@ func NewISLIP(ports, iterations int) (*ISLIP, error) {
 		iterations: iterations,
 		grantPtr:   make([]int, ports),
 		acceptPtr:  make([]int, ports),
+		matchIn:    make([]int, ports),
+		matchOut:   make([]int, ports),
+		grant:      make([]int, ports),
 	}, nil
 }
 
 // Match computes a matching over the VOQ occupancy matrix: request[i][j]
 // is true when input i has a cell queued for output j. The result maps
-// input -> matched output, −1 when unmatched.
+// input -> matched output, −1 when unmatched; the returned slice is
+// reused by the next Match call.
 func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 	if len(request) != s.ports {
 		return nil, fmt.Errorf("arbiter: request matrix has %d rows, want %d", len(request), s.ports)
@@ -147,8 +155,7 @@ func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 			return nil, fmt.Errorf("arbiter: request row %d has %d cols, want %d", i, len(row), s.ports)
 		}
 	}
-	matchIn := make([]int, s.ports)  // input -> output
-	matchOut := make([]int, s.ports) // output -> input
+	matchIn, matchOut, grant := s.matchIn, s.matchOut, s.grant
 	for i := range matchIn {
 		matchIn[i] = -1
 		matchOut[i] = -1
@@ -156,7 +163,6 @@ func (s *ISLIP) Match(request [][]bool) ([]int, error) {
 	for iter := 0; iter < s.iterations; iter++ {
 		// Grant phase: each unmatched output grants the first requesting
 		// unmatched input at or after its grant pointer.
-		grant := make([]int, s.ports) // output -> granted input
 		for o := 0; o < s.ports; o++ {
 			grant[o] = -1
 			if matchOut[o] != -1 {

@@ -1,6 +1,8 @@
 package arbiter
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -218,5 +220,35 @@ func TestISLIPMatchingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestISLIPMatchAllocationFree pins the VOQ matcher's hot path: its
+// match vectors and per-iteration grant scratch are reused, so a warm
+// Match never touches the allocator.
+func TestISLIPMatchAllocationFree(t *testing.T) {
+	s, err := NewISLIP(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := fullMatrix(16)
+	if _, err := s.Match(req); err != nil { // warm the scratch
+		t.Fatal(err)
+	}
+	// Count exactly: testing.AllocsPerRun rounds the per-call average
+	// down, so it would miss an allocation on most but not all calls.
+	// The counter is process-wide; holding off garbage collection keeps
+	// the runtime's post-collection cleanups out of the window.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 200; i++ {
+		if _, err := s.Match(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n != 0 {
+		t.Errorf("200 Match calls made %d allocations, want 0", n)
 	}
 }

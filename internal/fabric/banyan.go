@@ -4,6 +4,7 @@ import (
 	"fabricpower/internal/core"
 	"fabricpower/internal/energy"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/ring"
 	"fabricpower/internal/thompson"
 )
 
@@ -54,27 +55,12 @@ type bufEntry struct {
 	channel int
 }
 
-// bufRing is a fixed-capacity FIFO of buffered cells. Ring storage keeps
-// buffering events off the allocator: a grow-and-reslice queue would
-// reallocate on nearly every push once its head had been sliced away.
-type bufRing struct {
-	entries []bufEntry
-	head, n int
-}
-
-func (r *bufRing) len() int        { return r.n }
-func (r *bufRing) front() bufEntry { return r.entries[r.head] }
-
-func (r *bufRing) pop() {
-	r.entries[r.head] = bufEntry{}
-	r.head = (r.head + 1) % len(r.entries)
-	r.n--
-}
-
-func (r *bufRing) push(e bufEntry) {
-	r.entries[(r.head+r.n)%len(r.entries)] = e
-	r.n++
-}
+// bufRing is a node's buffer FIFO. Ring storage keeps buffering events
+// off the allocator: a grow-and-reslice queue would reallocate on
+// nearly every push once its head had been sliced away. Rings are sized
+// to bufferCap up front and Step checks the bound before each push, so
+// they never grow.
+type bufRing = ring.Ring[bufEntry]
 
 func newBanyan(cfg Config) (*banyan, error) {
 	dim, err := dimOf(cfg.Ports)
@@ -99,7 +85,7 @@ func newBanyan(cfg Config) (*banyan, error) {
 		b.latch[s] = make([]*packet.Cell, cfg.Ports)
 		b.buf[s] = make([]bufRing, cfg.Ports/2)
 		for k := range b.buf[s] {
-			b.buf[s][k].entries = make([]bufEntry, b.bufferCap)
+			b.buf[s][k] = ring.New[bufEntry](b.bufferCap)
 		}
 		b.bank[s] = newWireBank(cfg.Ports, cfg.Model.Tech.ETBitFJ())
 	}
@@ -178,7 +164,7 @@ func (b *banyan) Step(slot uint64) []*packet.Cell {
 				}
 				// Commit the move.
 				if fromBuffer {
-					b.buf[s][k].pop()
+					b.buf[s][k].Pop()
 					b.bufferedCells--
 				} else if b.latch[s][in0] == cell {
 					b.latch[s][in0] = nil
@@ -215,8 +201,8 @@ func (b *banyan) Step(slot uint64) []*packet.Cell {
 // the oldest buffered cell for that channel, else the lowest-port latched
 // cell routing to o that has not moved this slot.
 func (b *banyan) pickCandidate(slot uint64, s, k, o int) (*packet.Cell, bool) {
-	if q := &b.buf[s][k]; q.len() > 0 && q.front().channel == o {
-		return q.front().cell, true
+	if q := &b.buf[s][k]; q.Len() > 0 && q.Front().channel == o {
+		return q.Front().cell, true
 	}
 	for d := 0; d < 2; d++ {
 		c := b.latch[s][2*k+d]
@@ -237,10 +223,10 @@ func (b *banyan) parkLosers(slot uint64, s, k int, cellBits float64) {
 		if c == nil || c.MovedIn(slot) {
 			continue
 		}
-		if b.buf[s][k].len() >= b.bufferCap {
+		if b.buf[s][k].Len() >= b.bufferCap {
 			continue
 		}
-		b.buf[s][k].push(bufEntry{cell: c, channel: b.routeBit(c, s)})
+		b.buf[s][k].Push(bufEntry{cell: c, channel: b.routeBit(c, s)})
 		b.latch[s][line] = nil
 		b.bufferEvents++
 		b.bufferedCells++

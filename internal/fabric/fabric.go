@@ -85,7 +85,9 @@ type Fabric interface {
 	// Step advances one slot and returns the cells delivered at their
 	// egress ports during this slot. The returned slice is owned by the
 	// fabric and reused by the next Step call (the slot hot path is
-	// allocation-free); callers must copy it to retain it. Slot numbers
+	// allocation-free); callers must copy it to retain it. The cells
+	// themselves leave the fabric: they belong to the caller until it
+	// releases them to their slab. Slot numbers
 	// must be distinct across the Step calls any one cell is alive for —
 	// in practice, monotonically increasing.
 	Step(slot uint64) []*packet.Cell

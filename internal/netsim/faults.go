@@ -422,12 +422,16 @@ func (n *Network) refreshUsable(slot uint64) {
 			fs.pairDownSlots[pi] += windowSlots(fs.pairDownAt[pi], slot, fs.measureStart)
 		} else {
 			fs.pairDownAt[pi] = slot
-			// Cells in flight on a freshly failed pair are lost.
+			// Cells in flight on a freshly failed pair are lost. This
+			// runs single-threaded at the slot barrier, so any slab may
+			// take them back: balanceSlabs moves free cells to the
+			// shards that need them.
 			for _, li := range fs.pairLinks[pi] {
 				q := &n.links[li]
-				for !q.empty() {
-					c := q.pop()
+				for q.Len() > 0 {
+					c := q.Pop()
 					fs.eventLost[c.FlowID]++
+					n.shards[0].slab.Put(c)
 				}
 			}
 		}
@@ -440,6 +444,7 @@ func (n *Network) refreshUsable(slot uint64) {
 		if down && fs.nodeDownAt[u] == slot {
 			n.routers[u].FlushQueues(func(c *packet.Cell) {
 				fs.eventLost[c.FlowID]++
+				n.shards[0].slab.Put(c)
 			})
 		}
 	}

@@ -338,3 +338,54 @@ func TestStepAfterClose(t *testing.T) {
 	}()
 	net.Step(0)
 }
+
+// TestFaultsRecycleCellsAcrossShards runs every retirement path of the
+// network kernel's cell slabs at once — delivery, refused injection,
+// full-link drops, cells stranded by re-convergence, a down link and a
+// failed router whose ingress queues FlushQueues empties — on two
+// shards, so that under the race detector any cell returned to the
+// wrong shard's slab, or returned twice, fails the run. The report must
+// still match the sequential kernel exactly.
+func TestFaultsRecycleCellsAcrossShards(t *testing.T) {
+	run := func(shards int) *Report {
+		topo, err := Ring(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(topo)
+		cfg.Load = 0.7
+		cfg.MaxQueueCells = 4
+		cfg.LinkQueueCells = 2
+		cfg.Traffic = Traffic{Kind: "bursty", MeanBurstSlots: 8}
+		cfg.Shards = shards
+		l := topo.Links[3]
+		cfg.Faults = &FaultPlan{
+			Events: []FaultEvent{
+				{Slot: 250, Node: 2, Down: true},
+				{Slot: 300, Node: -1, From: l.From, To: l.To, Down: true},
+				{Slot: 450, Node: 2, Down: false},
+				{Slot: 500, Node: -1, From: l.From, To: l.To, Down: false},
+			},
+		}
+		net, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer net.Close()
+		rep, err := net.Run(200, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	seq := run(1)
+	if seq.Resilience == nil || seq.Resilience.LostCells == 0 {
+		t.Fatal("the fault schedule lost no cells")
+	}
+	if seq.NodeDroppedCells == 0 || seq.LinkDroppedCells == 0 {
+		t.Fatalf("want refused injections and full-link drops, got %d and %d", seq.NodeDroppedCells, seq.LinkDroppedCells)
+	}
+	if par := run(2); !reflect.DeepEqual(seq, par) {
+		t.Error("two-shard report differs from sequential")
+	}
+}

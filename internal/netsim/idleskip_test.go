@@ -152,6 +152,21 @@ func TestIdleSkipRejectsUnknownMode(t *testing.T) {
 	}
 }
 
+// cutoffSource drives a wrapped source until the cutoff slot and goes
+// silent after it, so a test can drain a warmed network onto the idle
+// path.
+type cutoffSource struct {
+	inner  FlowSource
+	cutoff uint64
+}
+
+func (s *cutoffSource) Inject(slot uint64) bool {
+	if slot >= s.cutoff {
+		return false
+	}
+	return s.inner.Inject(slot)
+}
+
 // TestIdleSkipSlotAllocationFree pins that the idle fast path honors
 // the kernel's 0 allocs/op invariant: once traffic cuts off and the
 // network drains, every node rides the idle path every slot and the
@@ -193,12 +208,8 @@ func TestIdleSkipSlotAllocationFree(t *testing.T) {
 					t.Fatalf("node %d still busy after drain", u)
 				}
 			}
-			allocs := testing.AllocsPerRun(300, func() {
-				net.Step(slot)
-				slot++
-			})
-			if allocs != 0 {
-				t.Errorf("idle slot loop allocates %.1f times per slot, want 0", allocs)
+			if n := stepMallocs(net, &slot, 300); n != 0 {
+				t.Errorf("idle slot loop made %d allocations over 300 slots, want 0", n)
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"fabricpower/internal/dpm"
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/ring"
 	"fabricpower/internal/router"
 	"fabricpower/internal/sim"
 	"fabricpower/internal/tech"
@@ -129,81 +130,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// linkQueue is a fixed-capacity ring buffer of cells in flight on one
-// link — fixed so the forwarding path never allocates. The backing
-// array is sized to the next power of two so ring arithmetic is a mask
-// instead of a modulo, and the hot paths move cells in blocks: drains
-// walk contiguous segment views and fills reserve runs, instead of
-// popping and pushing cell-at-a-time. Each queue has exactly one
-// writer per phase: the destination's shard pops in the compute phase,
-// the source's shard pushes in the exchange phase, and the barrier
-// between the phases orders them.
+// linkQueue is a fixed-capacity ring of cells in flight on one link —
+// sized up front so the forwarding path never allocates. The hot paths
+// move cells in blocks: drains walk contiguous Segment views and fills
+// use PushAll, instead of popping and pushing cell-at-a-time. Each queue
+// has exactly one writer per phase: the destination's shard pops in the
+// compute phase, the source's shard pushes in the exchange phase, and
+// the barrier between the phases orders them.
 type linkQueue struct {
-	buf        []*packet.Cell // power-of-two length
-	mask       int
-	cap        int // logical capacity (Config.LinkQueueCells)
-	head, size int
+	ring.Ring[*packet.Cell]
+	cap int // logical capacity (Config.LinkQueueCells)
 }
 
 func newLinkQueue(capacity int) linkQueue {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return linkQueue{buf: make([]*packet.Cell, n), mask: n - 1, cap: capacity}
+	return linkQueue{Ring: ring.New[*packet.Cell](capacity), cap: capacity}
 }
 
-func (q *linkQueue) full() bool  { return q.size == q.cap }
-func (q *linkQueue) empty() bool { return q.size == 0 }
-
-func (q *linkQueue) push(c *packet.Cell) {
-	q.buf[(q.head+q.size)&q.mask] = c
-	q.size++
-}
-
-func (q *linkQueue) pop() *packet.Cell {
-	c := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & q.mask
-	q.size--
-	return c
-}
-
-// segment returns the contiguous run of queued cells starting off
-// cells past the head, capped at k cells — the ring's occupied region
-// as at most two slices split at the wrap point, so a drain walks
-// blocks instead of popping cell-at-a-time.
-func (q *linkQueue) segment(off, k int) []*packet.Cell {
-	start := (q.head + off) & q.mask
-	if start+k <= len(q.buf) {
-		return q.buf[start : start+k]
-	}
-	return q.buf[start:]
-}
-
-// discard drops the k cells at the head — already consumed from a
-// segment view — clearing their slots so delivered cells can be
-// collected.
-func (q *linkQueue) discard(k int) {
-	for i := 0; i < k; i++ {
-		q.buf[(q.head+i)&q.mask] = nil
-	}
-	q.head = (q.head + k) & q.mask
-	q.size -= k
-}
-
-// pushBlock appends up to len(cells) cells as one reserved run and
-// returns how many fit; the remainder overflowed a full queue.
+// pushBlock appends up to len(cells) cells and returns how many fit;
+// the remainder overflowed a full queue.
 func (q *linkQueue) pushBlock(cells []*packet.Cell) int {
-	m := q.cap - q.size
+	m := q.cap - q.Len()
 	if m > len(cells) {
 		m = len(cells)
 	}
-	base := q.head + q.size
-	for i := 0; i < m; i++ {
-		q.buf[(base+i)&q.mask] = cells[i]
-	}
-	q.size += m
+	q.PushAll(cells[:m])
 	return m
 }
 
@@ -213,6 +163,16 @@ func (q *linkQueue) pushBlock(cells []*packet.Cell) int {
 type shard struct {
 	id    int
 	nodes []int
+
+	// slab recycles the cells this shard creates and retires: its
+	// nodes' sources take cells from it, and every cell the shard
+	// delivers or drops goes back to it (cells lost to faults, retired
+	// at the barrier, go to shard 0's). need is the most cells the
+	// shard's sources can take in one slot (one per flow); the slot
+	// barrier tops the slab up to it from shards with surplus (see
+	// balanceSlabs).
+	slab *packet.Slab
+	need int
 
 	// Measured-window counters (end-to-end, across hops).
 	offered      uint64
@@ -448,9 +408,12 @@ func New(cfg Config) (*Network, error) {
 	n.shards = make([]shard, shards)
 	for w := range n.shards {
 		n.shards[w].id = w
+		n.shards[w].slab = packet.NewSlab(n.words)
 	}
 	for u := 0; u < t.Nodes; u++ {
-		n.shards[part[u]].nodes = append(n.shards[part[u]].nodes, u)
+		s := &n.shards[part[u]]
+		s.nodes = append(s.nodes, u)
+		s.need += len(n.nodeFlows[u])
 	}
 	if !cfg.Faults.Empty() {
 		fs, err := newFaultState(*cfg.Faults, t, len(flows), cfg.Seed)
@@ -576,6 +539,9 @@ func (n *Network) Step(slot uint64) {
 	if n.prof != nil {
 		n.prof.beginSlot(slot)
 	}
+	if len(n.shards) > 1 {
+		n.balanceSlabs()
+	}
 	if len(n.shards) == 1 {
 		n.computePhase(&n.shards[0], slot)
 		n.exchangePhase(&n.shards[0], slot)
@@ -590,6 +556,32 @@ func (n *Network) Step(slot uint64) {
 		// published (the done-channel receives order them); fold the
 		// sampled slot into the profile single-threaded.
 		n.prof.closeSlot(slot)
+	}
+}
+
+// balanceSlabs runs at the slot barrier, single-threaded: every shard
+// whose slab holds fewer free cells than its sources may take this slot
+// is refilled to twice that need from shards holding more than twice
+// their own. Without it a shard that only injects would allocate every
+// cell while a shard that only delivers piled up free ones. Slab.Get
+// zeroes every cell, so which cell object lands where never changes a
+// result.
+func (n *Network) balanceSlabs() {
+	for w := range n.shards {
+		dst := &n.shards[w]
+		if dst.slab.Free() >= dst.need {
+			continue
+		}
+		want := 2*dst.need - dst.slab.Free()
+		for v := range n.shards {
+			src := &n.shards[v]
+			if spare := src.slab.Free() - 2*src.need; v != w && spare > 0 {
+				want -= src.slab.MoveFree(dst.slab, min(spare, want))
+				if want == 0 {
+					break
+				}
+			}
+		}
 	}
 }
 
@@ -675,7 +667,7 @@ func (n *Network) nodeSlot(s *shard, u int, slot uint64) {
 // in the exchange phase, on the other side of the barrier.
 func (n *Network) linksPending(u int) bool {
 	for _, li := range n.nodeInLinks[u] {
-		if n.links[li].size != 0 {
+		if n.links[li].Len() != 0 {
 			return true
 		}
 	}
@@ -706,20 +698,17 @@ func (n *Network) injectNode(s *shard, u int, slot uint64) (arrived bool) {
 				continue
 			}
 		}
-		c := &packet.Cell{
-			// IDs are unique network-wide and independent of sharding:
-			// the flow index tags the high bits, the flow's own cell
-			// count the low.
-			ID:          uint64(fi+1)<<32 | n.nextID[fi],
-			Src:         f.src,
-			Dest:        f.ports[0],
-			Payload:     packet.RandomPayload(n.rngs[fi], n.words),
-			CreatedSlot: slot,
-			FlowID:      fi,
-		}
+		// IDs are unique network-wide and independent of sharding:
+		// the flow index tags the high bits, the flow's own cell count
+		// the low.
+		c := s.slab.GetRandom(n.rngs[fi], uint64(fi+1)<<32|n.nextID[fi], f.src, f.ports[0], slot)
+		c.FlowID = fi
 		// A full source queue drops the cell; the router counts it.
-		if !n.routers[u].Inject(c, slot) && n.fail != nil {
-			s.flowLost[fi]++
+		if !n.routers[u].Inject(c, slot) {
+			if n.fail != nil {
+				s.flowLost[fi]++
+			}
+			s.slab.Put(c)
 		}
 		arrived = true
 	}
@@ -736,13 +725,13 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 	r := n.routers[u]
 	for _, li := range n.nodeInLinks[u] {
 		q := &n.links[li]
-		if q.size == 0 {
+		if q.Len() == 0 {
 			continue
 		}
 		l := &n.topo.Links[li]
 		take := l.Capacity
-		if q.size < take {
-			take = q.size
+		if q.Len() < take {
+			take = q.Len()
 		}
 		// room mirrors the ingress backpressure check: QueueLen grows
 		// only by this loop's own successful injections during the
@@ -758,7 +747,7 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 		moved := 0
 	drain:
 		for moved < take {
-			for _, c := range q.segment(moved, take-moved) {
+			for _, c := range q.Segment(moved, take-moved) {
 				if room <= 0 {
 					break drain
 				}
@@ -775,6 +764,7 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 					hop := int(c.Hop) + 1
 					if f.path == nil || hop >= len(f.path) || f.path[hop] != u {
 						s.flowLost[c.FlowID]++
+						s.slab.Put(c)
 						continue
 					}
 				}
@@ -783,12 +773,15 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 				c.Dest = f.ports[c.Hop]
 				if r.Inject(c, slot) {
 					room--
-				} else if n.fail != nil {
+					continue
+				}
+				if n.fail != nil {
 					s.flowLost[c.FlowID]++
 				}
+				s.slab.Put(c)
 			}
 		}
-		q.discard(moved)
+		q.Discard(moved)
 	}
 }
 
@@ -797,7 +790,8 @@ func (n *Network) drainInLinks(s *shard, u int, slot uint64) {
 // ledger, transit cells into the node's outbox for the exchange phase.
 // This per-router loop is allocation-free: flow state rides in the
 // cell, link queues are fixed rings, the outbox is a reused
-// fixed-capacity slice.
+// fixed-capacity slice, and cells that reach their destination or are
+// lost here go back to the shard's slab once the manager has seen them.
 func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 	mgr := n.mgrs[u]
 	var delivered []*packet.Cell
@@ -817,6 +811,7 @@ func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 			// flow off node u entirely — the cell is lost here.
 			if f.path == nil || int(c.Hop) >= len(f.path) || f.path[c.Hop] != u {
 				s.flowLost[c.FlowID]++
+				s.slab.Put(c)
 				continue
 			}
 		}
@@ -839,6 +834,7 @@ func (n *Network) stepNode(s *shard, u int, r *router.Router, slot uint64) {
 				n.tel.flowDelivered[c.FlowID]++
 				n.tel.flowHist[c.FlowID][b]++
 			}
+			s.slab.Put(c)
 			continue
 		}
 		out = append(out, c)
@@ -890,6 +886,7 @@ func (n *Network) exchangeNodes(s *shard) {
 				// Down links refuse cells outright.
 				for _, c := range out[i:j] {
 					s.flowLost[c.FlowID]++
+					s.slab.Put(c)
 				}
 				i = j
 				continue
@@ -901,6 +898,7 @@ func (n *Network) exchangeNodes(s *shard) {
 				if n.fail != nil {
 					s.flowLost[c.FlowID]++
 				}
+				s.slab.Put(c)
 			}
 			i = j
 		}

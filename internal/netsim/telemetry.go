@@ -298,7 +298,7 @@ func (n *Network) take(slot uint64) {
 		ls.Moved = t.linkMoved[li]
 		t.linkMoved[li] = 0
 		ls.Utilization = float64(ls.Moved) / (cap64 * float64(n.topo.Links[li].Capacity))
-		ls.Queue = n.links[li].size
+		ls.Queue = n.links[li].Len()
 		ls.Up = n.fail == nil || n.fail.linkUp[li]
 		if !ls.Up {
 			smp.DownLinks++

@@ -75,6 +75,9 @@ type Cell struct {
 	// stamp replaces the per-slot map the multistage fabrics would
 	// otherwise allocate to stop a cell crossing two stages in one slot.
 	moved uint64
+	// free marks a cell sitting in a Slab's free list, so a second Put
+	// of the same cell is caught instead of handing it out twice.
+	free bool
 }
 
 // MarkMoved records that the cell advanced one fabric stage during slot.
@@ -109,10 +112,17 @@ func FlipsThrough(last uint32, words []uint32) (flips int, newLast uint32) {
 // random binary payloads).
 func RandomPayload(rng *rand.Rand, n int) []uint32 {
 	p := make([]uint32, n)
-	for i := range p {
-		p[i] = rng.Uint32()
-	}
+	FillRandom(rng, p)
 	return p
+}
+
+// FillRandom overwrites dst with random words from rng, drawing exactly
+// as RandomPayload does, so a recycled cell's payload is bit-identical
+// to a freshly allocated one.
+func FillRandom(rng *rand.Rand, dst []uint32) {
+	for i := range dst {
+		dst[i] = rng.Uint32()
+	}
 }
 
 // ZeroPayload returns an all-zeros payload (no wire flips after the first

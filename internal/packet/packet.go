@@ -18,24 +18,38 @@ type Packet struct {
 
 // NewRandomPacket builds a packet with a random payload of sizeBits.
 func NewRandomPacket(rng *rand.Rand, id uint64, src, dest, sizeBits int) (*Packet, error) {
+	p := &Packet{}
+	if err := FillRandomPacket(rng, p, id, src, dest, sizeBits); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// FillRandomPacket overwrites p with a packet of sizeBits carrying a
+// random payload drawn from rng. It reuses p.Payload's backing array
+// when it is large enough, so a caller that keeps one scratch Packet
+// draws packets without allocating.
+func FillRandomPacket(rng *rand.Rand, p *Packet, id uint64, src, dest, sizeBits int) error {
 	if sizeBits < 1 {
-		return nil, fmt.Errorf("packet: size must be positive, got %d", sizeBits)
+		return fmt.Errorf("packet: size must be positive, got %d", sizeBits)
 	}
 	words := (sizeBits + 31) / 32
-	return &Packet{
-		ID:       id,
-		Src:      src,
-		Dest:     dest,
-		SizeBits: sizeBits,
-		Payload:  RandomPayload(rng, words),
-	}, nil
+	payload := p.Payload
+	if cap(payload) < words {
+		payload = make([]uint32, words)
+	}
+	*p = Packet{ID: id, Src: src, Dest: dest, SizeBits: sizeBits, Payload: payload[:words]}
+	FillRandom(rng, p.Payload)
+	return nil
 }
 
 // Segmenter splits packets into fixed-size cells at the ingress process
 // unit. The final cell is zero-padded; Last marks it for reassembly.
+// Cells come from the segmenter's own slab; Release returns them.
 type Segmenter struct {
 	cfg    Config
 	nextID uint64
+	slab   *Slab
 }
 
 // NewSegmenter returns a segmenter for the cell geometry.
@@ -43,34 +57,35 @@ func NewSegmenter(cfg Config) (*Segmenter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Segmenter{cfg: cfg}, nil
+	return &Segmenter{cfg: cfg, slab: NewSlab(cfg.Words())}, nil
 }
 
-// Split segments one packet into cells, assigning fresh cell IDs.
-func (s *Segmenter) Split(p *Packet, createdSlot uint64) []*Cell {
+// Split segments one packet into cells, assigning fresh cell IDs, and
+// appends them to dst.
+func (s *Segmenter) Split(dst []*Cell, p *Packet, createdSlot uint64) []*Cell {
 	wordsPerCell := s.cfg.Words()
 	nCells := (len(p.Payload) + wordsPerCell - 1) / wordsPerCell
 	if nCells == 0 {
 		nCells = 1
 	}
-	cells := make([]*Cell, 0, nCells)
 	for i := 0; i < nCells; i++ {
-		body := make([]uint32, wordsPerCell)
-		copy(body, p.Payload[min(i*wordsPerCell, len(p.Payload)):])
+		c := s.slab.Get()
+		copy(c.Payload, p.Payload[min(i*wordsPerCell, len(p.Payload)):])
 		s.nextID++
-		cells = append(cells, &Cell{
-			ID:          s.nextID,
-			Src:         p.Src,
-			Dest:        p.Dest,
-			PacketID:    p.ID,
-			Seq:         i,
-			Last:        i == nCells-1,
-			Payload:     body,
-			CreatedSlot: createdSlot,
-		})
+		c.ID = s.nextID
+		c.Src = p.Src
+		c.Dest = p.Dest
+		c.PacketID = p.ID
+		c.Seq = i
+		c.Last = i == nCells-1
+		c.CreatedSlot = createdSlot
+		dst = append(dst, c)
 	}
-	return cells
+	return dst
 }
+
+// Release returns a cell Split handed out to the segmenter's slab.
+func (s *Segmenter) Release(c *Cell) { s.slab.Put(c) }
 
 func min(a, b int) int {
 	if a < b {
@@ -92,7 +107,10 @@ func NewReassembler() *Reassembler {
 }
 
 // Push adds a cell; when the cell completes its packet, the reassembled
-// packet is returned.
+// packet is returned. The packet's payload is a copy, but the cells of
+// a packet still in progress are held until its last cell arrives, so
+// a caller recycling cells releases them only once Push returns their
+// packet.
 func (r *Reassembler) Push(c *Cell) (*Packet, bool) {
 	if c.PacketID == 0 {
 		// Cell-native traffic: each cell is its own packet.
@@ -101,7 +119,7 @@ func (r *Reassembler) Push(c *Cell) (*Packet, bool) {
 			Src:      c.Src,
 			Dest:     c.Dest,
 			SizeBits: c.Bits(),
-			Payload:  c.Payload,
+			Payload:  append([]uint32(nil), c.Payload...),
 		}, true
 	}
 	r.pending[c.PacketID] = append(r.pending[c.PacketID], c)

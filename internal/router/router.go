@@ -17,6 +17,7 @@ import (
 	"fabricpower/internal/core"
 	"fabricpower/internal/fabric"
 	"fabricpower/internal/packet"
+	"fabricpower/internal/ring"
 )
 
 // QueueDiscipline selects the ingress queue organization.
@@ -108,19 +109,30 @@ func (m Metrics) Throughput(ports int, slots uint64) float64 {
 	return float64(m.DeliveredCells) / float64(uint64(ports)*slots)
 }
 
+// queued is one ingress-queue entry: the cell and the slot it arrived.
+type queued struct {
+	cell    *packet.Cell
+	arrival uint64
+}
+
+// cellQueue is an ingress queue. Its ring is allocated on first use, so
+// building a router costs nothing per queue, and stops growing once the
+// queue has reached its peak depth.
+type cellQueue = ring.Ring[queued]
+
 // Router is the assembled device.
 type Router struct {
 	cfg Config
 	fab fabric.Fabric
 
-	// FIFO discipline state.
-	fifoQ    [][]*packet.Cell
-	arbFCFS  *arbiter.FCFSRR
-	arrivals [][]uint64        // arrival slot per queued cell (parallel to fifoQ)
-	reqs     []arbiter.Request // per-slot request buffer, reused
+	// FIFO discipline state: one ring per ingress port, each entry
+	// stamped with its arrival slot (the FCFS key).
+	fifoQ   []cellQueue
+	arbFCFS *arbiter.FCFSRR
+	reqs    []arbiter.Request // per-slot request buffer, reused
 
 	// VOQ discipline state.
-	voq     [][][]*packet.Cell // [ingress][egress] queue
+	voq     [][]cellQueue // [ingress][egress] queue
 	arbSLIP *arbiter.ISLIP
 	voqReq  [][]bool // per-slot occupancy matrix, reused
 
@@ -149,18 +161,17 @@ func New(cfg Config) (*Router, error) {
 	r.metrics.PerEgressCells = make([]uint64, n)
 	switch cfg.Queue {
 	case FIFO:
-		r.fifoQ = make([][]*packet.Cell, n)
-		r.arrivals = make([][]uint64, n)
+		r.fifoQ = make([]cellQueue, n)
 		r.arbFCFS = arbiter.NewFCFSRR()
 	case VOQ:
 		iters := cfg.ISLIPIterations
 		if iters <= 0 {
 			iters = 2
 		}
-		r.voq = make([][][]*packet.Cell, n)
+		r.voq = make([][]cellQueue, n)
 		r.voqReq = make([][]bool, n)
 		for i := range r.voq {
-			r.voq[i] = make([][]*packet.Cell, n)
+			r.voq[i] = make([]cellQueue, n)
 			r.voqReq[i] = make([]bool, n)
 		}
 		r.arbSLIP, err = arbiter.NewISLIP(n, iters)
@@ -197,11 +208,11 @@ func (r *Router) QueueLen(port int) int {
 		return 0
 	}
 	if r.cfg.Queue == FIFO {
-		return len(r.fifoQ[port])
+		return r.fifoQ[port].Len()
 	}
 	total := 0
-	for _, q := range r.voq[port] {
-		total += len(q)
+	for i := range r.voq[port] {
+		total += r.voq[port][i].Len()
 	}
 	return total
 }
@@ -234,31 +245,22 @@ func (r *Router) InFlight() int { return r.fab.InFlight() }
 // not delivered, so they bypass the egress metrics entirely — only the
 // caller's ledger sees them. Cells already inside the fabric are left
 // in place.
+//
+// The flushed cells pass to fn and leave the router: like delivered
+// cells, they belong to the caller from then on.
 func (r *Router) FlushQueues(fn func(*packet.Cell)) int {
-	flushed := 0
-	if r.cfg.Queue == FIFO {
-		for p := range r.fifoQ {
-			for _, c := range r.fifoQ[p] {
-				if fn != nil {
-					fn(c)
-				}
-				flushed++
-			}
-			r.fifoQ[p] = r.fifoQ[p][:0]
-			r.arrivals[p] = r.arrivals[p][:0]
+	drop := func(e queued) {
+		if fn != nil {
+			fn(e.cell)
 		}
-		r.queued = 0
-		return flushed
+	}
+	flushed := 0
+	for p := range r.fifoQ {
+		flushed += r.fifoQ[p].Drain(drop)
 	}
 	for i := range r.voq {
 		for j := range r.voq[i] {
-			for _, c := range r.voq[i][j] {
-				if fn != nil {
-					fn(c)
-				}
-				flushed++
-			}
-			r.voq[i][j] = r.voq[i][j][:0]
+			flushed += r.voq[i][j].Drain(drop)
 		}
 	}
 	r.queued = 0
@@ -267,36 +269,35 @@ func (r *Router) FlushQueues(fn func(*packet.Cell)) int {
 
 // Inject presents a cell to its ingress unit at the given slot. It
 // returns false when the ingress queue is full (the cell is dropped and
-// counted).
+// counted); a refused cell stays with the caller, an accepted one
+// belongs to the router until Step delivers it or FlushQueues drops it.
 func (r *Router) Inject(c *packet.Cell, slot uint64) bool {
 	r.metrics.InjectedCells++
 	if c.Src < 0 || c.Src >= r.Ports() || c.Dest < 0 || c.Dest >= r.Ports() {
 		r.metrics.DroppedCells++
 		return false
 	}
+	var q *cellQueue
 	if r.cfg.Queue == FIFO {
-		if r.cfg.MaxQueueCells > 0 && len(r.fifoQ[c.Src]) >= r.cfg.MaxQueueCells {
-			r.metrics.DroppedCells++
-			return false
-		}
-		r.fifoQ[c.Src] = append(r.fifoQ[c.Src], c)
-		r.arrivals[c.Src] = append(r.arrivals[c.Src], slot)
-		r.queued++
-		r.metrics.AcceptedCells++
-		return true
+		q = &r.fifoQ[c.Src]
+	} else {
+		q = &r.voq[c.Src][c.Dest]
 	}
-	if r.cfg.MaxQueueCells > 0 && len(r.voq[c.Src][c.Dest]) >= r.cfg.MaxQueueCells {
+	if r.cfg.MaxQueueCells > 0 && q.Len() >= r.cfg.MaxQueueCells {
 		r.metrics.DroppedCells++
 		return false
 	}
-	r.voq[c.Src][c.Dest] = append(r.voq[c.Src][c.Dest], c)
+	q.Push(queued{cell: c, arrival: slot})
 	r.queued++
 	r.metrics.AcceptedCells++
 	return true
 }
 
 // Step runs one slot: arbitration, fabric admission, fabric transport,
-// and egress accounting. It returns the cells delivered this slot.
+// and egress accounting. It returns the cells delivered this slot. The
+// slice is reused by the next Step, but the cells leave the router: they
+// belong to the caller, who may recycle them (a generator's Release)
+// once done with them.
 func (r *Router) Step(slot uint64) []*packet.Cell {
 	switch r.cfg.Queue {
 	case FIFO:
@@ -338,26 +339,26 @@ func (r *Router) IdleStep(slot uint64) {
 // fabric; losers and refused cells stay at their heads (HOL blocking).
 func (r *Router) admitFIFO(slot uint64) {
 	reqs := r.reqs[:0]
-	for p, q := range r.fifoQ {
-		if len(q) == 0 {
+	for p := range r.fifoQ {
+		q := &r.fifoQ[p]
+		if q.Len() == 0 {
 			continue
 		}
 		if r.cfg.Gate != nil && !r.cfg.Gate.PortOpen(p, slot) {
 			continue
 		}
+		head := q.Front()
 		reqs = append(reqs, arbiter.Request{
 			Port:    p,
-			Dest:    q[0].Dest,
-			Arrival: r.arrivals[p][0],
+			Dest:    head.cell.Dest,
+			Arrival: head.arrival,
 		})
 	}
 	r.reqs = reqs
 	for _, gi := range r.arbFCFS.Grant(reqs, slot) {
-		p := reqs[gi].Port
-		cell := r.fifoQ[p][0]
-		if r.fab.Offer(cell) {
-			r.fifoQ[p] = r.fifoQ[p][1:]
-			r.arrivals[p] = r.arrivals[p][1:]
+		q := &r.fifoQ[reqs[gi].Port]
+		if r.fab.Offer(q.Front().cell) {
+			q.Pop()
 			r.queued--
 		}
 	}
@@ -369,7 +370,7 @@ func (r *Router) admitVOQ(slot uint64) {
 	for i := range req {
 		open := r.cfg.Gate == nil || r.cfg.Gate.PortOpen(i, slot)
 		for j := range req[i] {
-			req[i][j] = open && len(r.voq[i][j]) > 0
+			req[i][j] = open && r.voq[i][j].Len() > 0
 		}
 	}
 	match, err := r.arbSLIP.Match(req)
@@ -382,9 +383,9 @@ func (r *Router) admitVOQ(slot uint64) {
 		if o < 0 {
 			continue
 		}
-		cell := r.voq[i][o][0]
-		if r.fab.Offer(cell) {
-			r.voq[i][o] = r.voq[i][o][1:]
+		q := &r.voq[i][o]
+		if r.fab.Offer(q.Front().cell) {
+			q.Pop()
 			r.queued--
 		}
 	}

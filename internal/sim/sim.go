@@ -22,8 +22,15 @@ import (
 
 // Generator produces the cells injected at each slot (implemented by
 // internal/traffic's injectors and trace players).
+//
+// Generate hands over ownership of its cells; the returned slice itself
+// may be reused by the next call. Release takes a cell back once it is
+// retired — Run releases every cell the router refuses and every cell
+// it delivers — so a generator can recycle cells instead of allocating
+// one per injection.
 type Generator interface {
 	Generate(slot uint64) []*packet.Cell
+	Release(c *packet.Cell)
 }
 
 // Options controls a run.
@@ -136,15 +143,7 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 		if pr != nil && slot >= pr.nextSlot {
 			pr.take(slot, r, mgr)
 		}
-		for _, c := range gen.Generate(slot) {
-			r.Inject(c, slot)
-		}
-		if mgr != nil {
-			mgr.PreSlot(slot, r)
-			mgr.PostSlot(slot, r.Step(slot), r.Fabric().Energy())
-		} else {
-			r.Step(slot)
-		}
+		runSlot(r, gen, mgr, slot)
 	}
 	if pr != nil {
 		// Flush the partial warmup interval, then rebase the baselines
@@ -167,21 +166,35 @@ func Run(r *router.Router, gen Generator, tp tech.Params, cellBits int, opt Opti
 		if pr != nil && slot >= pr.nextSlot {
 			pr.take(slot, r, mgr)
 		}
-		for _, c := range gen.Generate(slot) {
-			r.Inject(c, slot)
-		}
-		if mgr != nil {
-			mgr.PreSlot(slot, r)
-			mgr.PostSlot(slot, r.Step(slot), r.Fabric().Energy())
-		} else {
-			r.Step(slot)
-		}
+		runSlot(r, gen, mgr, slot)
 	}
 	if pr != nil {
 		pr.take(slot, r, mgr) // flush the final partial interval
 	}
 
 	return Snapshot(r, mgr, tp, cellBits, opt.MeasureSlots, bufferBase), nil
+}
+
+// runSlot injects one slot's cells and steps the router, handing every
+// refused cell and — after the manager has observed them — every
+// delivered cell back to the generator.
+func runSlot(r *router.Router, gen Generator, mgr *dpm.Manager, slot uint64) {
+	for _, c := range gen.Generate(slot) {
+		if !r.Inject(c, slot) {
+			gen.Release(c)
+		}
+	}
+	var out []*packet.Cell
+	if mgr != nil {
+		mgr.PreSlot(slot, r)
+		out = r.Step(slot)
+		mgr.PostSlot(slot, out, r.Fabric().Energy())
+	} else {
+		out = r.Step(slot)
+	}
+	for _, c := range out {
+		gen.Release(c)
+	}
 }
 
 // Snapshot assembles a Result from the router's current measured

@@ -78,9 +78,13 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 // Player replays a trace as a generator.
 type Player struct {
 	trace  *Trace
-	cfg    packet.Config
 	pos    int
 	nextID uint64
+	// rng is reseeded from each entry's recorded seed; Seed restarts
+	// the stream exactly as a fresh rand.NewSource would.
+	rng   *rand.Rand
+	slab  *packet.Slab
+	cells []*packet.Cell
 }
 
 // NewPlayer builds a trace player with the given cell geometry.
@@ -91,28 +95,25 @@ func NewPlayer(t *Trace, cfg packet.Config) (*Player, error) {
 	if t == nil {
 		return nil, fmt.Errorf("traffic: nil trace")
 	}
-	return &Player{trace: t, cfg: cfg}, nil
+	return &Player{trace: t, rng: rand.New(rand.NewSource(0)), slab: packet.NewSlab(cfg.Words())}, nil
 }
 
 // Generate emits the recorded cells for the slot, regenerating payloads
-// from the recorded seeds.
+// from the recorded seeds, in a slice reused by the next call.
 func (p *Player) Generate(slot uint64) []*packet.Cell {
-	var out []*packet.Cell
+	p.cells = p.cells[:0]
 	for p.pos < len(p.trace.Entries) && p.trace.Entries[p.pos].Slot == slot {
 		e := p.trace.Entries[p.pos]
 		p.pos++
 		p.nextID++
-		rng := rand.New(rand.NewSource(e.Seed))
-		out = append(out, &packet.Cell{
-			ID:          p.nextID,
-			Src:         e.Src,
-			Dest:        e.Dest,
-			Payload:     packet.RandomPayload(rng, p.cfg.Words()),
-			CreatedSlot: slot,
-		})
+		p.rng.Seed(e.Seed)
+		p.cells = append(p.cells, p.slab.GetRandom(p.rng, p.nextID, e.Src, e.Dest, slot))
 	}
-	return out
+	return p.cells
 }
+
+// Release returns a cell Generate handed out to the player's slab.
+func (p *Player) Release(c *packet.Cell) { p.slab.Put(c) }
 
 // Rewind resets the player to the start of the trace.
 func (p *Player) Rewind() {

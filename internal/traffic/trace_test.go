@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -89,5 +90,41 @@ func TestPlayerRewindReplaysByteIdentical(t *testing.T) {
 	p = p2
 	if third := play(); !bytes.Equal(first, third) {
 		t.Fatal("fresh player diverged from the rewound one")
+	}
+}
+
+// TestPlayerReplaysRecordedPayloads pins what a replayed payload is:
+// the words a fresh rand.NewSource(seed) draws for the entry's recorded
+// seed — even though the player reseeds one generator per entry and
+// recycles released cells instead of allocating new ones.
+func TestPlayerReplaysRecordedPayloads(t *testing.T) {
+	geo := packet.Config{CellBits: 256, BusWidth: 32}
+	gen, err := NewInjector(8, 0.5, geo, nil, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots = 300
+	tr := Record(gen, slots)
+	p, err := NewPlayer(tr, geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for s := uint64(0); s < slots; s++ {
+		for _, c := range p.Generate(s) {
+			e := tr.Entries[i]
+			i++
+			want := packet.RandomPayload(rand.New(rand.NewSource(e.Seed)), geo.Words())
+			if c.ID != uint64(i) || c.Src != e.Src || c.Dest != e.Dest || c.CreatedSlot != e.Slot {
+				t.Fatalf("entry %d: cell %+v does not match %+v", i-1, c, e)
+			}
+			if !reflect.DeepEqual(c.Payload, want) {
+				t.Fatalf("entry %d: payload %#x, want %#x", i-1, c.Payload, want)
+			}
+			p.Release(c)
+		}
+	}
+	if i != len(tr.Entries) {
+		t.Fatalf("replayed %d of %d entries", i, len(tr.Entries))
 	}
 }

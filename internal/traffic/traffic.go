@@ -84,10 +84,11 @@ func (BitReverse) Pick(_ *rand.Rand, src, ports int) int {
 type Injector struct {
 	ports   int
 	load    float64
-	cfg     packet.Config
 	pattern DestPattern
 	rng     *rand.Rand
 	nextID  uint64
+	slab    *packet.Slab
+	cells   []*packet.Cell
 }
 
 // NewInjector validates and builds a Bernoulli cell injector.
@@ -107,9 +108,9 @@ func NewInjector(ports int, load float64, cfg packet.Config, pattern DestPattern
 	return &Injector{
 		ports:   ports,
 		load:    load,
-		cfg:     cfg,
 		pattern: pattern,
 		rng:     rand.New(rand.NewSource(seed)),
+		slab:    packet.NewSlab(cfg.Words()),
 	}, nil
 }
 
@@ -120,24 +121,22 @@ func (in *Injector) Ports() int { return in.ports }
 func (in *Injector) Load() float64 { return in.load }
 
 // Generate returns the cells injected in this slot, at most one per port,
-// each with Src/Dest/payload filled in.
+// each with Src/Dest/payload filled in. The cells come from the
+// injector's slab and the slice is reused by the next call.
 func (in *Injector) Generate(slot uint64) []*packet.Cell {
-	var cells []*packet.Cell
+	in.cells = in.cells[:0]
 	for p := 0; p < in.ports; p++ {
 		if in.rng.Float64() >= in.load {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, &packet.Cell{
-			ID:          in.nextID,
-			Src:         p,
-			Dest:        in.pattern.Pick(in.rng, p, in.ports),
-			Payload:     packet.RandomPayload(in.rng, in.cfg.Words()),
-			CreatedSlot: slot,
-		})
+		in.cells = append(in.cells, in.slab.GetRandom(in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), slot))
 	}
-	return cells
+	return in.cells
 }
+
+// Release returns a cell Generate handed out to the injector's slab.
+func (in *Injector) Release(c *packet.Cell) { in.slab.Put(c) }
 
 // OnOffInjector is a bursty source: each port runs an independent on/off
 // Markov chain; while ON it injects every slot. The mean load is
@@ -147,10 +146,11 @@ type OnOffInjector struct {
 	pOnToOff float64
 	pOffToOn float64
 	on       []bool
-	cfg      packet.Config
 	pattern  DestPattern
 	rng      *rand.Rand
 	nextID   uint64
+	slab     *packet.Slab
+	cells    []*packet.Cell
 }
 
 // NewOnOffInjector builds a bursty injector with the given mean burst
@@ -178,15 +178,16 @@ func NewOnOffInjector(ports int, meanBurst, load float64, cfg packet.Config, pat
 		pOnToOff: 1 / meanBurst,
 		pOffToOn: 1 / meanGap,
 		on:       make([]bool, ports),
-		cfg:      cfg,
 		pattern:  pattern,
 		rng:      rand.New(rand.NewSource(seed)),
+		slab:     packet.NewSlab(cfg.Words()),
 	}, nil
 }
 
-// Generate returns this slot's injected cells.
+// Generate returns this slot's injected cells in a slice reused by the
+// next call.
 func (in *OnOffInjector) Generate(slot uint64) []*packet.Cell {
-	var cells []*packet.Cell
+	in.cells = in.cells[:0]
 	for p := 0; p < in.ports; p++ {
 		if in.on[p] {
 			if in.rng.Float64() < in.pOnToOff {
@@ -199,16 +200,13 @@ func (in *OnOffInjector) Generate(slot uint64) []*packet.Cell {
 			continue
 		}
 		in.nextID++
-		cells = append(cells, &packet.Cell{
-			ID:          in.nextID,
-			Src:         p,
-			Dest:        in.pattern.Pick(in.rng, p, in.ports),
-			Payload:     packet.RandomPayload(in.rng, in.cfg.Words()),
-			CreatedSlot: slot,
-		})
+		in.cells = append(in.cells, in.slab.GetRandom(in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), slot))
 	}
-	return cells
+	return in.cells
 }
+
+// Release returns a cell Generate handed out to the injector's slab.
+func (in *OnOffInjector) Release(c *packet.Cell) { in.slab.Put(c) }
 
 // PacketInjector generates variable-size TCP/IP packets (the classic
 // trimodal internet mix by default) and segments them into cells; each
@@ -222,9 +220,14 @@ type PacketInjector struct {
 	cfg       packet.Config
 	pattern   DestPattern
 	seg       *packet.Segmenter
-	queues    [][]*packet.Cell
-	rng       *rand.Rand
-	nextID    uint64
+	// queues[p][heads[p]:] are port p's cells still to send; a drained
+	// queue is refilled in place by the next packet's segmentation.
+	queues [][]*packet.Cell
+	heads  []int
+	pkt    packet.Packet // scratch packet, its payload buffer reused
+	out    []*packet.Cell
+	rng    *rand.Rand
+	nextID uint64
 }
 
 // TrimodalSizesBits returns the classic 40/576/1500-byte internet packet
@@ -261,6 +264,7 @@ func NewPacketInjector(ports int, load float64, cfg packet.Config, pattern DestP
 		pattern:   pattern,
 		seg:       seg,
 		queues:    make([][]*packet.Cell, ports),
+		heads:     make([]int, ports),
 		rng:       rand.New(rand.NewSource(seed)),
 	}, nil
 }
@@ -276,26 +280,34 @@ func (in *PacketInjector) meanCellsPerPacket() float64 {
 }
 
 // Generate drains each port queue one cell per slot, drawing fresh packets
-// with the rate that achieves the target cell load.
+// with the rate that achieves the target cell load. The slice is reused
+// by the next call.
 func (in *PacketInjector) Generate(slot uint64) []*packet.Cell {
 	pArrival := in.load / in.meanCellsPerPacket()
-	var out []*packet.Cell
+	in.out = in.out[:0]
 	for p := 0; p < in.ports; p++ {
-		if len(in.queues[p]) == 0 && in.rng.Float64() < pArrival {
+		q := in.queues[p]
+		if in.heads[p] == len(q) && in.rng.Float64() < pArrival {
 			size := in.pickSize()
 			in.nextID++
-			pkt, err := packet.NewRandomPacket(in.rng, in.nextID, p, in.pattern.Pick(in.rng, p, in.ports), size)
-			if err == nil {
-				in.queues[p] = in.seg.Split(pkt, slot)
+			dest := in.pattern.Pick(in.rng, p, in.ports)
+			if err := packet.FillRandomPacket(in.rng, &in.pkt, in.nextID, p, dest, size); err != nil {
+				panic(err) // sizes come from the trimodal mix, all positive
 			}
+			q = in.seg.Split(q[:0], &in.pkt, slot)
+			in.queues[p], in.heads[p] = q, 0
 		}
-		if len(in.queues[p]) > 0 {
-			out = append(out, in.queues[p][0])
-			in.queues[p] = in.queues[p][1:]
+		if h := in.heads[p]; h < len(q) {
+			in.out = append(in.out, q[h])
+			q[h] = nil
+			in.heads[p]++
 		}
 	}
-	return out
+	return in.out
 }
+
+// Release returns a cell Generate handed out to the segmenter's slab.
+func (in *PacketInjector) Release(c *packet.Cell) { in.seg.Release(c) }
 
 func (in *PacketInjector) pickSize() int {
 	r := in.rng.Float64()

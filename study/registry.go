@@ -89,10 +89,10 @@ func TrafficKinds() []string {
 // around the source's injections.
 type sourceGenerator struct {
 	src    TrafficSource
-	cfg    packet.Config
 	ports  int
 	rng    *rand.Rand
 	nextID uint64
+	slab   *packet.Slab
 	cells  []*packet.Cell
 	err    error
 }
@@ -107,16 +107,12 @@ func (g *sourceGenerator) Generate(slot uint64) []*packet.Cell {
 			return
 		}
 		g.nextID++
-		g.cells = append(g.cells, &packet.Cell{
-			ID:          g.nextID,
-			Src:         in.Port,
-			Dest:        in.Dest,
-			Payload:     packet.RandomPayload(g.rng, g.cfg.Words()),
-			CreatedSlot: slot,
-		})
+		g.cells = append(g.cells, g.slab.GetRandom(g.rng, g.nextID, in.Port, in.Dest, slot))
 	})
 	return g.cells
 }
+
+func (g *sourceGenerator) Release(c *packet.Cell) { g.slab.Put(c) }
 
 // registeredTraffic builds the generator for a non-built-in kind.
 func registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int64) (*sourceGenerator, error) {
@@ -130,7 +126,11 @@ func registeredTraffic(spec TrafficSpec, ports int, cfg packet.Config, seed int6
 	if err != nil {
 		return nil, err
 	}
-	return &sourceGenerator{src: src, cfg: cfg, ports: ports, rng: rand.New(rand.NewSource(seed))}, nil
+	return &sourceGenerator{
+		src: src, ports: ports,
+		rng:  rand.New(rand.NewSource(seed)),
+		slab: packet.NewSlab(cfg.Words()),
+	}, nil
 }
 
 // ---------------------------------------------------------------------
