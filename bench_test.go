@@ -359,3 +359,33 @@ func BenchmarkWireFlipAccounting(b *testing.B) {
 		b.Fatal("impossible")
 	}
 }
+
+// BenchmarkCellWireCrossing measures the cost a fabric's wire bank pays
+// per crossing for one 1024-bit cell, one crossing per op: "cached" is
+// Cell.FlipsFrom on a cell whose inner flip count its first crossing
+// cached (what every fabric charges), "rescan" the word-by-word
+// reference FlipsThrough over the same payload.
+func BenchmarkCellWireCrossing(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	cell := packet.NewSlab(32).GetRandom(rng, 1, 0, 1, 0)
+	for _, bc := range []struct {
+		name  string
+		cross func(last uint32) (int, uint32)
+	}{
+		{"cached", cell.FlipsFrom},
+		{"rescan", func(last uint32) (int, uint32) { return packet.FlipsThrough(last, cell.Payload) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			last := uint32(0)
+			flips := 0
+			for i := 0; i < b.N; i++ {
+				var f int
+				f, last = bc.cross(last ^ uint32(i))
+				flips += f
+			}
+			if flips < 0 {
+				b.Fatal("impossible")
+			}
+		})
+	}
+}

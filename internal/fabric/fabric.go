@@ -131,7 +131,10 @@ func dimOf(n int) (int, error) {
 }
 
 // wireBank tracks the held word of a set of bus links and charges flip
-// energy as cells stream across them.
+// energy as cells stream across them. A crossing costs O(1): the link's
+// held word decides only the first word's flips, and the rest are the
+// cell's cached inner flips (packet.Cell.FlipsFrom), the same integer
+// count packet.FlipsThrough gives word by word.
 type wireBank struct {
 	state []uint32
 	// etFJ is E_T_bit in fJ.
@@ -144,8 +147,8 @@ func newWireBank(lines int, etFJ float64) *wireBank {
 
 // cross streams the cell over link line with the given length in Thompson
 // grids and returns the wire energy in fJ.
-func (w *wireBank) cross(line int, payload []uint32, grids float64) float64 {
-	flips, last := packet.FlipsThrough(w.state[line], payload)
+func (w *wireBank) cross(line int, c *packet.Cell, grids float64) float64 {
+	flips, last := c.FlipsFrom(w.state[line])
 	w.state[line] = last
 	return float64(flips) * grids * w.etFJ
 }

@@ -211,6 +211,31 @@ func TestConsolidateConcentrates(t *testing.T) {
 	}
 }
 
+// TestConsolidateRouteAllocatesOnlyPaths pins Route's set-up cost: the
+// search scratch is shared by every flow of one call, so beyond a
+// handful of per-call slices the only allocation per flow is its path.
+func TestConsolidateRouteAllocatesOnlyPaths(t *testing.T) {
+	topo, err := FatTree2(4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows, err := buildFlows(topo, UniformMatrix{}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perCall = 16
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := (Consolidate{}).Route(topo, flows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := float64(len(flows) + perCall); allocs > max {
+		t.Fatalf("Route over %d flows allocated %.0f times, want at most %.0f (one path per flow + %d)",
+			len(flows), allocs, max, perCall)
+	}
+	t.Logf("%d flows, %.0f allocations", len(flows), allocs)
+}
+
 // TestMultiHopDelivery pins the end-to-end path: cells injected at one
 // end of a 4-router chain arrive at the far end, crossing every
 // intermediate router, with per-hop latency accounted.

@@ -145,9 +145,14 @@ func (c Consolidate) Route(t *Topology, flows []Flow) ([][]int, error) {
 		nodeUsed[f.Src] = true
 		nodeUsed[f.Dst] = true
 	}
+	sc := &dijkstraScratch{
+		dist: make([]float64, t.Nodes),
+		prev: make([]int, t.Nodes),
+		done: make([]bool, t.Nodes),
+	}
 	for _, fi := range sortFlowsForRouting(flows) {
 		f := &flows[fi]
-		path, err := c.dijkstra(t, f, linkRate, nodeUsed)
+		path, err := c.dijkstra(t, f, linkRate, nodeUsed, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -161,16 +166,23 @@ func (c Consolidate) Route(t *Topology, flows []Flow) ([][]int, error) {
 	return paths, nil
 }
 
+// dijkstraScratch holds the per-node search state one Route call reuses
+// across its flows, so a flow's search allocates only its path.
+type dijkstraScratch struct {
+	dist []float64
+	prev []int
+	done []bool
+}
+
 // dijkstra finds the cheapest path under the consolidation costs, with
 // deterministic tie-breaks (smaller cost, then smaller node index).
-func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed []bool) ([]int, error) {
+func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed []bool, sc *dijkstraScratch) ([]int, error) {
 	const inf = math.MaxFloat64
-	dist := make([]float64, t.Nodes)
-	prev := make([]int, t.Nodes)
-	done := make([]bool, t.Nodes)
+	dist, prev, done := sc.dist, sc.prev, sc.done
 	for i := range dist {
 		dist[i] = inf
 		prev[i] = -1
+		done[i] = false
 	}
 	dist[f.Src] = 0
 	for {
@@ -209,13 +221,16 @@ func (c Consolidate) dijkstra(t *Topology, f *Flow, linkRate []float64, nodeUsed
 			}
 		}
 	}
-	var rev []int
+	// Walk the predecessor chain twice: once to size the path, once to
+	// fill it back to front.
+	n := 0
 	for u := f.Dst; u >= 0; u = prev[u] {
-		rev = append(rev, u)
+		n++
 	}
-	path := make([]int, len(rev))
-	for i, u := range rev {
-		path[len(rev)-1-i] = u
+	path := make([]int, n)
+	for u := f.Dst; u >= 0; u = prev[u] {
+		n--
+		path[n] = u
 	}
 	return path, nil
 }

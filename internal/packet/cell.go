@@ -4,10 +4,15 @@
 // (paper §2: the ingress unit parallelizes and inspects packets, the
 // egress unit re-assembles them).
 //
-// Payloads are carried as 32-bit bus words; the bit-level wire accounting
-// XORs consecutive words on a link and counts the flipped bits, which is
-// exactly the paper's "only bits with flipped polarity consume energy"
-// rule at full bit accuracy.
+// Payloads are carried as 32-bit bus words. The wire model applies the
+// paper's "only bits with flipped polarity consume energy" rule at full
+// bit accuracy: a link holds its last word, and streaming a cell across
+// it flips popcount(held ^ p[0]) bits for the first word plus the
+// cell's inner flips, the sum of popcount(p[i-1] ^ p[i]) over its
+// words. The inner flips depend on the payload alone, so a cell counts
+// them on its first crossing and caches the count, and every link it
+// crosses adds only the held-word term (Cell.FlipsFrom). FlipsThrough
+// is the word-by-word reference definition.
 package packet
 
 import (
@@ -56,7 +61,10 @@ type Cell struct {
 	// Seq is the cell's index within its packet; Last marks the tail.
 	Seq  int
 	Last bool
-	// Payload is the cell body in bus words, LSB-first bit order.
+	// Payload is the cell body in bus words, LSB-first bit order. It is
+	// read-only once the cell leaves its source (a generator or a
+	// Segmenter): FlipsFrom caches the payload's inner flip count, and
+	// a word changed afterwards would not be charged.
 	Payload []uint32
 	// CreatedSlot is the injection slot, for latency accounting.
 	CreatedSlot uint64
@@ -78,6 +86,9 @@ type Cell struct {
 	// free marks a cell sitting in a Slab's free list, so a second Put
 	// of the same cell is caught instead of handing it out twice.
 	free bool
+	// inner caches the payload's inner flip count plus one, so the zero
+	// value means "not computed yet".
+	inner int32
 }
 
 // MarkMoved records that the cell advanced one fabric stage during slot.
@@ -106,6 +117,23 @@ func FlipsThrough(last uint32, words []uint32) (flips int, newLast uint32) {
 		last = w
 	}
 	return flips, last
+}
+
+// FlipsFrom returns what FlipsThrough(last, c.Payload) returns — the
+// polarity flips of streaming the cell over a link holding last, and the
+// link's new held word — in O(1): only the first word's flip against
+// last depends on the link, and the payload's inner flips are counted
+// on the first call and cached until Slab.Put resets the cell.
+func (c *Cell) FlipsFrom(last uint32) (flips int, newLast uint32) {
+	p := c.Payload
+	if len(p) == 0 {
+		return 0, last
+	}
+	if c.inner == 0 {
+		inner, _ := FlipsThrough(p[0], p[1:])
+		c.inner = int32(inner) + 1
+	}
+	return FlipCount(last, p[0]) + int(c.inner) - 1, p[len(p)-1]
 }
 
 // RandomPayload fills a fresh payload of n words from rng (the paper's

@@ -26,9 +26,12 @@ type Trace struct {
 
 // Record runs a generator for the given number of slots and captures its
 // injections as a trace. Payload seeds are derived from the cell IDs so a
-// replay regenerates identical bit patterns.
+// replay regenerates identical bit patterns. Each cell goes back to the
+// generator once its header is copied, so the generator recycles its
+// cells instead of allocating one per injection.
 func Record(gen interface {
 	Generate(slot uint64) []*packet.Cell
+	Release(c *packet.Cell)
 }, slots uint64) *Trace {
 	tr := &Trace{}
 	for s := uint64(0); s < slots; s++ {
@@ -39,6 +42,7 @@ func Record(gen interface {
 				Dest: c.Dest,
 				Seed: int64(c.ID),
 			})
+			gen.Release(c)
 		}
 	}
 	return tr

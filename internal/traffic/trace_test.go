@@ -93,6 +93,37 @@ func TestPlayerRewindReplaysByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRecordReleasesCells pins that Record hands every cell back to its
+// generator without changing the trace: the entries equal those read
+// off a twin generator whose cells are never released, and the
+// recorder's slab ends up holding at most one slot's worth of cells
+// (one per port) although it recorded hundreds of injections.
+func TestRecordReleasesCells(t *testing.T) {
+	const ports, slots = 8, 300
+	geo := packet.Config{CellBits: 256, BusWidth: 32}
+	rec, err := NewInjector(ports, 0.5, geo, nil, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewInjector(ports, 0.5, geo, nil, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Record(rec, slots)
+	var want []TraceEntry
+	for s := uint64(0); s < slots; s++ {
+		for _, c := range twin.Generate(s) {
+			want = append(want, TraceEntry{Slot: s, Src: c.Src, Dest: c.Dest, Seed: int64(c.ID)})
+		}
+	}
+	if !reflect.DeepEqual(tr.Entries, want) {
+		t.Fatalf("releasing cells changed the trace: %d entries, want %d", len(tr.Entries), len(want))
+	}
+	if n := rec.slab.Free(); n == 0 || n > ports || len(want) < 10*ports {
+		t.Fatalf("slab holds %d free cells after %d injections, want 1..%d", n, len(want), ports)
+	}
+}
+
 // TestPlayerReplaysRecordedPayloads pins what a replayed payload is:
 // the words a fresh rand.NewSource(seed) draws for the entry's recorded
 // seed — even though the player reseeds one generator per entry and
